@@ -14,8 +14,12 @@ Three constructions, all strictly upward and planar:
   rows stays small, not their span.
 
 Coordinates are integer (column, row) pairs with columns starting at 1
-and the root on the highest row.  Internally everything is assembled
-top-down (row 0 at the top) and flipped once at the end.
+and the root on the highest row.  Internally each node is assembled
+bottom-up into a frame in its own coordinates (row 0 at the top): its
+size, its root column, and for each child a shift of the child's frame
+plus the edge to it.  A subtree is never copied into its ancestors; one
+preorder pass adds up the shifts, writes every position and edge once
+and flips rows to y-up, so layout runs in time linear in the output.
 """
 
 from __future__ import annotations
@@ -63,43 +67,32 @@ class LayoutStats:
     root_corner: str
 
 
-class _Canvas:
-    """Assembly frame for one subtree: row 0 is the top, the subtree root
-    sits alone on row 0 in column ``root_col`` (always 1 or ``width``)."""
-
-    __slots__ = ("pos", "edges", "width", "height", "root_col")
-
-    def __init__(self, pos, edges, width, height, root_col):
-        self.pos = pos
-        self.edges = edges
-        self.width = width
-        self.height = height
-        self.root_col = root_col
+# A frame is one node's assembly in its own coordinates, row 0 at the top:
+# a tuple (width, height, root_col, place).  The node sits alone on row 0
+# in column root_col (1 or width); place[i] = (dcol, drow, points) is the
+# shift of child i's frame into this one and the edge to child i, drawn
+# in this frame.
 
 
-def _leaf(v) -> _Canvas:
-    return _Canvas({v: (1, 0)}, {}, 1, 1, 1)
+def _finalize(t: Tree, frames: list, mode: str) -> Drawing:
+    """Add up the shifts top-down, writing each position and edge once.
 
-
-def _paste(pos, edges, sub: _Canvas, dcol, drow):
-    for u, (c, r) in sub.pos.items():
-        pos[u] = (c + dcol, r + drow)
-    for key, pts in sub.edges.items():
-        edges[key] = [(c + dcol, r + drow) for c, r in pts]
-
-
-def _flip(c: _Canvas) -> _Canvas:
-    w = c.width
-    pos = {u: (w + 1 - x, r) for u, (x, r) in c.pos.items()}
-    edges = {k: [(w + 1 - x, r) for x, r in pts] for k, pts in c.edges.items()}
-    return _Canvas(pos, edges, w, c.height, w + 1 - c.root_col)
-
-
-def _finalize(c: _Canvas, mode: str) -> Drawing:
-    # flip rows to y-up: the root (row 0) gets the maximal y = height
-    h = c.height
-    pos = {u: (x, h - r) for u, (x, r) in c.pos.items()}
-    edges = {k: [(x, h - r) for x, r in pts] for k, pts in c.edges.items()}
+    Preorder ids put every parent before its children.  Rows are flipped
+    to y-up on the way: the root gets the maximal y, the total height.
+    """
+    h = frames[t.root][1]
+    col = [0] * t.n
+    row = [0] * t.n
+    pos = {}
+    edges = {}
+    for v in t.preorder():
+        c0, r0 = col[v], row[v]
+        _, _, rc, place = frames[v]
+        pos[v] = (c0 + rc, h - r0)
+        for c, (dc, dr, pts) in zip(t.children(v), place):
+            col[c] = c0 + dc
+            row[c] = r0 + dr
+            edges[(v, c)] = [(c0 + x, h - r0 - r) for x, r in pts]
     return Drawing(mode=mode, pos=pos, edges=edges)
 
 
@@ -116,42 +109,52 @@ def draw_unordered(t: Tree, ann: Optional[RpwAnnotation] = None) -> Drawing:
     """
     if ann is None:
         ann = rooted_pathwidth(t)
-    canv: dict = {}
+    frames: list = [None] * t.n
     for v in t.bottom_up():
         kids = t.children(v)
-        if not kids:
-            canv[v] = _leaf(v)
-            continue
         heavy = ann.heavy_child[v]
-        pos = {v: (1, 0)}
-        edges: dict = {}
+        place: list = [None] * len(kids)
         row = 1
         width = 1
-        for c in reversed([k for k in kids if k != heavy]):
-            sub = canv.pop(c)
-            _paste(pos, edges, sub, 1, row)
-            edges[(v, c)] = [(1, 0), (2, row)]
-            width = max(width, sub.width + 1)
-            row += sub.height
-        sub = canv.pop(heavy)
-        _paste(pos, edges, sub, 0, row)
-        edges[(v, heavy)] = [(1, 0), (1, row)]
-        width = max(width, sub.width)
-        canv[v] = _Canvas(pos, edges, width, row + sub.height, 1)
-    return _finalize(canv[t.root], "unordered")
+        for i in reversed(range(len(kids))):
+            if kids[i] != heavy:
+                w, h = frames[kids[i]][:2]
+                place[i] = (1, row, [(1, 0), (2, row)])
+                width = max(width, w + 1)
+                row += h
+        if kids:
+            w, h = frames[heavy][:2]
+            place[kids.index(heavy)] = (0, row, [(1, 0), (1, row)])
+            width = max(width, w)
+            row += h
+        frames[v] = (width, row, 1, place)
+    return _finalize(t, frames, "unordered")
 
 
 # --------------------------------------------------------------- ordered
+#
+# The assemblers build a left-witness frame with the root in column 1.
+# They take the children's (width, height, root_col) boxes and return
+# (width, height, place).
 
 
-def _assemble3(v, kids, subs, cw) -> _Canvas:
+def _flush_edge(rx, top):
+    """Edge from the root at (1, 0) to a child block flush with column 1
+    whose root is at (rx, top)."""
+    if rx == 1:
+        return [(1, 0), (1, top)]
+    if top == 1:
+        return [(1, 0), (rx, top)]
+    return [(1, 0), (1, top - 1), (rx, top)]
+
+
+def _assemble3(boxes, cw):
     """Left-witness assembly, dense rows, at most 3 bends per edge."""
-    d = len(kids)
+    d = len(boxes)
     W = cw.W
     wof = {i: w for w, i in cw.sigma.items()}  # child index -> chain value
     root = (1, 0)
-    pos = {v: root}
-    edges: dict = {}
+    place: list = [None] * d
     prefix: dict = {}
     raycol: dict = {}
     cur = 0  # allocation cursor: next bend row is cur + 1
@@ -171,36 +174,26 @@ def _assemble3(v, kids, subs, cw) -> _Canvas:
             raycol[j] = 2 if w == 2 else w
             cur += 1
         else:
-            sub = subs[j - 1]
+            _, height, rx = boxes[j - 1]
             top = cur + 2
-            _paste(pos, edges, sub, 1, top)
-            edges[(v, kids[j - 1])] = [root, b1, (sub.root_col + 1, top)]
-            cur = top + sub.height - 1
+            place[j - 1] = (1, top, [root, b1, (rx + 1, top)])
+            cur = top + height - 1
         deep = max(deep, cur)
 
     if 1 in wof:
         prefix[1] = [root]
         raycol[1] = 1
     else:
-        sub = subs[0]
+        _, height, rx = boxes[0]
         top = cur + 1
-        _paste(pos, edges, sub, 0, top)
-        rx = sub.root_col
-        if rx == 1:
-            edges[(v, kids[0])] = [root, (1, top)]
-        elif top == 1:
-            edges[(v, kids[0])] = [root, (rx, top)]
-        else:
-            edges[(v, kids[0])] = [root, (1, top - 1), (rx, top)]
-        deep = max(deep, top + sub.height - 1)
+        place[0] = (0, top, _flush_edge(rx, top))
+        deep = max(deep, top + height - 1)
 
     base = deep
     for w in range(cw.Wprime, W + 1):
         j = cw.sigma[w]
-        sub = subs[j - 1]
+        _, height, rx = boxes[j - 1]
         top = base + 1
-        _paste(pos, edges, sub, 0, top)
-        rx = sub.root_col
         rc = raycol[j]
         pts = list(prefix[j])
         if rx == rc:
@@ -210,13 +203,13 @@ def _assemble3(v, kids, subs, cw) -> _Canvas:
             if pts[-1] != bend:
                 pts.append(bend)
             pts.append((rx, top))
-        edges[(v, kids[j - 1])] = pts
-        base = top + sub.height - 1
+        place[j - 1] = (0, top, pts)
+        base = top + height - 1
 
-    return _Canvas(pos, edges, W, max(base, deep) + 1, 1)
+    return W, max(base, deep) + 1, place
 
 
-def _assemble1(v, kids, subs, cw) -> _Canvas:
+def _assemble1(boxes, cw):
     """Left-witness assembly with at most 1 bend per edge.
 
     Same child layout as ``_assemble3``, but each edge gets a single
@@ -227,14 +220,13 @@ def _assemble1(v, kids, subs, cw) -> _Canvas:
     Blocks reached by a slanted final segment are pushed down
     geometrically for the same reason.  Heights explode; widths don't.
     """
-    d = len(kids)
+    d = len(boxes)
     W = cw.W
     wof = {i: w for w, i in cw.sigma.items()}
     root = (1, 0)
-    pos = {v: root}
-    edges: dict = {}
+    place: list = [None] * d
     prefix: dict = {}
-    cur = 0  # deepest placed canvas row
+    cur = 0  # deepest placed frame row
     amax = 0  # deepest anchor row
     slope = 0  # last used slope; strictly increases right to left
     mbig = 0  # steepest big-edge slope so far
@@ -248,36 +240,25 @@ def _assemble1(v, kids, subs, cw) -> _Canvas:
             mbig = max(mbig, m)
             amax = max(amax, m * (w - 1))
         else:
-            sub = subs[j - 1]
-            r = sub.width
+            r, height, rx = boxes[j - 1]
             s = max(slope + 1, cur + 1, mbig * r + 1)
             top = s + 1
-            _paste(pos, edges, sub, 1, top)
-            edges[(v, kids[j - 1])] = [root, (2, s), (sub.root_col + 1, top)]
+            place[j - 1] = (1, top, [root, (2, s), (rx + 1, top)])
             slope = s
-            cur = top + sub.height - 1
+            cur = top + height - 1
 
     if 1 in wof:
         prefix[1] = [root]
     else:
-        sub = subs[0]
-        r = sub.width
+        r, height, rx = boxes[0]
         top = max(cur + 1, mbig * max(r - 1, 0) + 1)
-        _paste(pos, edges, sub, 0, top)
-        rx = sub.root_col
-        if rx == 1:
-            edges[(v, kids[0])] = [root, (1, top)]
-        elif top == 1:
-            edges[(v, kids[0])] = [root, (rx, top)]
-        else:
-            edges[(v, kids[0])] = [root, (1, top - 1), (rx, top)]
-        cur = top + sub.height - 1
+        place[0] = (0, top, _flush_edge(rx, top))
+        cur = top + height - 1
 
     base = max(cur, amax)
     for w in range(cw.Wprime, W + 1):
         j = cw.sigma[w]
-        sub = subs[j - 1]
-        rx = sub.root_col
+        _, height, rx = boxes[j - 1]
         if j == 1:
             z = base + 1
             pts = [root]
@@ -295,35 +276,46 @@ def _assemble1(v, kids, subs, cw) -> _Canvas:
             # enough down that the slant clears everything above it
             z = max(base + 1, (W + 1) * (base + 2))
             pts = prefix[j] + [(rx, z)]
-        _paste(pos, edges, sub, 0, z)
-        edges[(v, kids[j - 1])] = pts
-        base = z + sub.height - 1
+        place[j - 1] = (0, z, pts)
+        base = z + height - 1
 
-    return _Canvas(pos, edges, W, max(base, amax, cur) + 1, 1)
+    return W, max(base, amax, cur) + 1, place
 
 
-def _build_ordered(t: Tree, ann: RankAnnotation, assemble) -> _Canvas:
-    canv: dict = {}
+def _build_ordered(t: Tree, ann: RankAnnotation, assemble) -> list:
+    """Frames for every node, children before parents.
+
+    A right witness runs the left assembler on the mirrored, reversed
+    child boxes and mirrors its output back.  The two mirror images of
+    each child cancel, so the child frame is only shifted, to column
+    W - width - dcol, and the root lands in column W.
+    """
+    frames: list = [None] * t.n
     for v in t.bottom_up():
         kids = t.children(v)
         if not kids:
-            canv[v] = _leaf(v)
+            frames[v] = (1, 1, 1, ())
             continue
         cw = ann.corner[v]
-        subs = [canv.pop(c) for c in kids]
-        if cw.side == "right":
-            d = len(kids)
-            mirrored = type(cw)(
-                side="left",
-                W=cw.W,
-                Wprime=cw.Wprime,
-                sigma={w: d + 1 - i for w, i in cw.sigma.items()},
-            )
-            c = assemble(v, list(reversed(kids)), [_flip(s) for s in reversed(subs)], mirrored)
-            canv[v] = _flip(c)
-        else:
-            canv[v] = assemble(v, list(kids), subs, cw)
-    return canv[t.root]
+        boxes = [frames[c][:3] for c in kids]
+        if cw.side == "left":
+            W, height, place = assemble(boxes, cw)
+            frames[v] = (W, height, 1, place)
+            continue
+        d = len(kids)
+        mirrored = type(cw)(
+            side="left",
+            W=cw.W,
+            Wprime=cw.Wprime,
+            sigma={w: d + 1 - i for w, i in cw.sigma.items()},
+        )
+        W, height, place = assemble([(w, h, w + 1 - rc) for w, h, rc in reversed(boxes)], mirrored)
+        place = [
+            (W - w - dc, dr, [(W + 1 - x, r) for x, r in pts])
+            for (w, _, _), (dc, dr, pts) in zip(boxes, reversed(place))
+        ]
+        frames[v] = (W, height, W, place)
+    return frames
 
 
 def draw_ordered(
@@ -343,7 +335,7 @@ def draw_ordered(
     """
     if ann is None:
         ann = rank(t)
-    out = _finalize(_build_ordered(t, ann, _assemble3), "ordered3")
+    out = _finalize(t, _build_ordered(t, ann, _assemble3), "ordered3")
     if prune_collinear:
         out.edges = {k: _prune(pts) for k, pts in out.edges.items()}
     return out
@@ -360,7 +352,7 @@ def reduce_bends(d: Drawing, t: Tree) -> Drawing:
         raise ValueError(f"reduce_bends needs an ordered3 drawing, got {d.mode!r}")
     if set(d.pos) != set(t.preorder()):
         raise ValueError("drawing and tree disagree on node ids")
-    return _finalize(_build_ordered(t, rank(t), _assemble1), "ordered1")
+    return _finalize(t, _build_ordered(t, rank(t), _assemble1), "ordered1")
 
 
 # ----------------------------------------------------------------- stats

@@ -79,7 +79,10 @@ def render_ascii(d: Drawing) -> str:
         if grid[r][c] == " ":
             grid[r][c] = ch
 
-    for pts in d.edges.values():
+    # put keeps the first character written to a cell, so walk the edges
+    # in key order: the text must not depend on the order of the dict
+    lines = [d.edges[key] for key in sorted(d.edges)]
+    for pts in lines:
         for (ax, ay), (bx, by) in zip(pts, pts[1:]):
             ra, ca = cell(ax, ay)
             rb, cb = cell(bx, by)
@@ -96,7 +99,7 @@ def render_ascii(d: Drawing) -> str:
                     r = ra + round((rb - ra) * s / steps)
                     c = ca + round((cb - ca) * s / steps)
                     put(r, c, ch)
-    for pts in d.edges.values():
+    for pts in lines:
         for x, y in pts[1:-1]:
             r, c = cell(x, y)
             put(r, c, "+")

@@ -11,12 +11,10 @@ than CPython's default recursion limit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "Tree",
-    "NodeRecord",
     "ParseError",
     "parse_tree",
     "serialize_tree",
@@ -36,14 +34,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-@dataclass(frozen=True)
-class NodeRecord:
-    id: int
-    parent: Optional[int]
-    children: tuple
-    label: Optional[str] = None
 
 
 class Tree:
@@ -115,11 +105,6 @@ class Tree:
 
     def label(self, v: int) -> Optional[str]:
         return self._labels.get(v)
-
-    def node(self, v: int) -> NodeRecord:
-        if not (0 <= v < self.n):
-            raise IndexError(f"no node {v}")
-        return NodeRecord(v, self.parent(v), self._children[v], self._labels.get(v))
 
     def preorder(self) -> range:
         return range(self.n)
@@ -226,12 +211,18 @@ def tree_to_json(t: Tree) -> dict:
     return {"root": t.root, "nodes": nodes}
 
 
+def _is_id(x) -> bool:
+    # JSON true and 1.0 compare equal to 1; neither may stand for node 1
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def tree_from_json(obj) -> Tree:
     """Build a Tree from {"root": id, "nodes": [{"id", "children", "label"?}]}.
 
     Node ids may be arbitrary integers; the result is renumbered to
-    canonical preorder ids.  Structural problems (duplicate ids, several
-    parents, unreachable nodes) raise ParseError.
+    canonical preorder ids.  Ids that are not integers (booleans and
+    floats included), duplicate ids, several parents and unreachable
+    nodes raise ParseError.
     """
     if not isinstance(obj, dict) or "root" not in obj or "nodes" not in obj:
         raise ParseError("tree JSON must have 'root' and 'nodes'", 0)
@@ -244,17 +235,22 @@ def tree_from_json(obj) -> Tree:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError("each node needs an 'id'", 0)
         nid = rec["id"]
-        if not isinstance(nid, int) or isinstance(nid, bool):
+        if not _is_id(nid):
             raise ParseError(f"node id {nid!r} is not an integer", 0)
         if nid in kids:
             raise ParseError(f"duplicate node id {nid}", 0)
         cs = rec.get("children", [])
         if not isinstance(cs, list):
             raise ParseError(f"children of {nid} must be a list", 0)
+        for c in cs:
+            if not _is_id(c):
+                raise ParseError(f"child id {c!r} under {nid} is not an integer", 0)
         kids[nid] = cs
         if "label" in rec and rec["label"] is not None:
             labels_raw[nid] = str(rec["label"])
     root = obj["root"]
+    if not _is_id(root):
+        raise ParseError(f"root {root!r} is not an integer", 0)
     if root not in kids:
         raise ParseError(f"root {root!r} is not among the nodes", 0)
     seen_child = set()

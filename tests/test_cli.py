@@ -84,6 +84,19 @@ def test_widths_tree_json_input(capsys):
     assert got["n"] == 6
 
 
+@pytest.mark.parametrize("blob", [
+    '{"root": 0, "nodes": [{"id": 0, "children": [true, 2]}, {"id": 1}, {"id": 2}]}',
+    '{"root": 0, "nodes": [{"id": 0, "children": [1.0, 2]}, {"id": 1}, {"id": 2}]}',
+    '{"root": true, "nodes": [{"id": 1, "children": [2]}, {"id": 2}]}',
+], ids=["child-true", "child-float", "root-true"])
+def test_widths_json_non_integer_id_exits_2(capsys, blob):
+    # each blob is a valid tree if true or 1.0 is read as node 1
+    code, out, err = run(capsys, "widths", blob)
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err
+
+
 # ------------------------------------------------------------------ draw
 
 

@@ -1,5 +1,8 @@
 """Layout constructions against the exact pairwise geometry oracle."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from uptree.layout import (
     layout_stats,
     reduce_bends,
 )
+from uptree.oracle import enumerate_trees
 from uptree.rank import rank
 from uptree.tree import (
     gen_complete_binary,
@@ -23,6 +27,7 @@ from uptree.tree import (
     gen_random_tree,
     parse_tree,
 )
+from uptree.verify import check_drawing
 from uptree.widths import rooted_pathwidth
 
 EXAMPLE = "(()()(()()))"
@@ -120,7 +125,7 @@ def test_rank_profiles(rs):
 
 
 def test_nested_flips():
-    # right-rooted inner canvases under left and right outer witnesses,
+    # right-rooted inner frames under left and right outer witnesses,
     # plus a rank-4 right-rooted child landing in the w=4 chain ray
     inner_r = "(" + bin_s(3) + "())"
     assert_all_modes(parse_tree("(" + inner_r + "())"))
@@ -186,6 +191,78 @@ def test_explicit_annotations_accepted():
     t = parse_tree(EXAMPLE)
     assert draw_unordered(t, rooted_pathwidth(t)).pos == draw_unordered(t).pos
     assert draw_ordered(t, rank(t)).pos == draw_ordered(t).pos
+
+
+# ------------------------------------------------------ frozen drawings
+
+# (n, seed) pairs of the random part of the frozen corpus
+FROZEN_RANDOM = [(5 + (k * 53) % 96, 1000 + k) for k in range(200)]
+
+# SHA-256 over the CLI's bytes for every drawing of the frozen corpus, in
+# corpus order.  A layout refactor must leave every drawing byte-identical.
+FROZEN_DIGESTS = {
+    "unordered": "cf605077aabd23c021b8465c0e4d5d95159adc0fc6a39286745678a297e2fe3e",
+    "ordered3": "6045a415ff077731fddea83e644b255511ea19c68aec6f42a4161a1e97a2e8da",
+    "ordered1": "51a677b2ebd298219197c5b58a1403452b19120642a74cd862a693c43181194b",
+    "ordered3_pruned": "586f9375117a31397198165fd3ed96923c85844e7f82b7d5cbd73a7ce8c2c56f",
+}
+
+FROZEN_DRAW = {
+    "unordered": draw_unordered,
+    "ordered3": draw_ordered,
+    "ordered1": lambda t: reduce_bends(draw_ordered(t), t),
+    "ordered3_pruned": lambda t: draw_ordered(t, prune_collinear=True),
+}
+
+
+def frozen_corpus():
+    """Every tree with n <= 9, four family members, 200 random trees."""
+    for n in range(1, 10):
+        yield from enumerate_trees(n)
+    yield gen_path(50)
+    yield gen_complete_binary(6)
+    yield gen_quintary_family(3)
+    yield gen_hpd_family(6)
+    for n, seed in FROZEN_RANDOM:
+        yield gen_random_tree(n, seed=seed)
+
+
+@pytest.mark.parametrize("mode", sorted(FROZEN_DIGESTS))
+def test_frozen_drawings(mode):
+    draw = FROZEN_DRAW[mode]
+    h = hashlib.sha256()
+    count = 0
+    for t in frozen_corpus():
+        h.update(json.dumps(drawing_to_json(draw(t)), sort_keys=True, indent=2).encode())
+        count += 1
+    assert count == 2260
+    assert h.hexdigest() == FROZEN_DIGESTS[mode]
+
+
+# ------------------------------------------------------------ deep trees
+
+
+@pytest.mark.parametrize("t", [gen_path(20000), gen_hpd_family(13)], ids=["path20000", "hpd13"])
+def test_deep_trees_all_modes(t):
+    # thousands of levels deep: no recursion, no time cliff, bounds intact
+    n = t.n
+    rpw = rooted_pathwidth(t).root_value()
+    W = rank(t).root_rank()
+
+    s0 = layout_stats(draw_unordered(t))
+    assert (s0.width, s0.height, s0.max_bends_per_edge) == (rpw, n, 0)
+
+    d1 = draw_ordered(t)
+    s1 = layout_stats(d1)
+    assert s1.width == W
+    assert s1.height <= 2 * n - 1
+    assert s1.max_bends_per_edge <= 3
+    rep = check_drawing(t, d1, require=("planar", "strictly_upward", "order_preserving"))
+    assert rep.ok, rep.violations
+
+    s2 = layout_stats(reduce_bends(d1, t))
+    assert s2.width == W
+    assert s2.max_bends_per_edge <= 1
 
 
 # ------------------------------------------------------------ bad input

@@ -2,7 +2,14 @@
 
 import pytest
 
-from uptree.layout import Drawing, draw_ordered, draw_unordered, reduce_bends
+from uptree.layout import (
+    Drawing,
+    draw_ordered,
+    draw_unordered,
+    drawing_from_json,
+    drawing_to_json,
+    reduce_bends,
+)
 from uptree.render import render_ascii, render_svg
 from uptree.tree import gen_path, parse_tree
 
@@ -57,6 +64,18 @@ def test_ascii_bend_and_node_overwrite():
     t = parse_tree("(()())")
     art = render_ascii(reduce_bends(draw_ordered(t), t))
     assert art.count("o") == 3
+
+
+@pytest.mark.parametrize("shape", ["(()()(()))", EXAMPLE])
+def test_ascii_independent_of_edge_order(shape):
+    # cells that two edges share must get the same character whatever the
+    # order of the edge dict: in memory, after a JSON round-trip, reversed
+    t = parse_tree(shape)
+    for d in (draw_unordered(t), draw_ordered(t)):
+        art = render_ascii(d)
+        assert render_ascii(drawing_from_json(drawing_to_json(d))) == art
+        backwards = dict(reversed(list(d.edges.items())))
+        assert render_ascii(Drawing(d.mode, d.pos, backwards)) == art
 
 
 def test_ascii_refuses_huge_grids():

@@ -100,15 +100,17 @@ def test_tree_disconnected_rejected():
         Tree([[1], [], []])  # node 2 unreachable
 
 
-def test_node_record_view():
-    t = parse_tree("(()(()))")
-    rec = t.node(2)
-    assert rec.id == 2
-    assert rec.parent == 0
-    assert rec.children == (3,)
-    assert t.node(0).parent is None
+def test_node_accessors():
+    t = parse_tree("(()x(()))")
+    assert t.parent(2) == 0
+    assert t.children(2) == (3,)
+    assert t.label(2) == "x"
+    assert t.label(1) is None
+    assert t.parent(0) is None
     with pytest.raises(IndexError):
-        t.node(99)
+        t.parent(99)
+    with pytest.raises(IndexError):
+        t.children(99)
 
 
 def test_bottom_up_children_first():
@@ -154,6 +156,14 @@ def test_json_accepts_arbitrary_ids_and_renumbers():
         {"root": 0, "nodes": [{"id": 0, "children": [1, 1]}, {"id": 1, "children": []}]},
         {"root": 0, "nodes": [{"id": 0, "children": []}, {"id": 1, "children": []}]},
         {"root": 0, "nodes": [{"id": 0, "children": [1]}, {"id": 1, "children": [0]}]},
+        # ids that are not integers; true, false and 1.0 must not alias nodes
+        {"root": 0, "nodes": [{"id": 0, "children": [True, 2]}, {"id": 1}, {"id": 2}]},
+        {"root": 0, "nodes": [{"id": 0, "children": [1.0, 2]}, {"id": 1}, {"id": 2}]},
+        {"root": 0, "nodes": [{"id": 0, "children": [[1], 2]}, {"id": 1}, {"id": 2}]},
+        {"root": True, "nodes": [{"id": 1, "children": [2]}, {"id": 2}]},
+        {"root": False, "nodes": [{"id": 0, "children": [1]}, {"id": 1}]},
+        {"root": 0.0, "nodes": [{"id": 0, "children": [1]}, {"id": 1}]},
+        {"root": [0], "nodes": [{"id": 0, "children": [1]}, {"id": 1}]},
     ],
 )
 def test_json_structural_errors(obj):
