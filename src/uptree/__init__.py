@@ -12,8 +12,8 @@ drawings that meet them:
   the price of large (possibly exponential) coordinates.
 
 :func:`check_drawing` verifies the geometry of any drawing with exact
-rational arithmetic, and :mod:`uptree.oracle` re-derives the rank by
-brute force for cross-checking.
+rational arithmetic, and :mod:`uptree.oracle` re-derives the rank, rpw
+and pathwidth by brute force for cross-checking.
 """
 
 from .layout import (

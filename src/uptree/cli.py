@@ -37,15 +37,14 @@ from .layout import (
     reduce_bends,
 )
 from .oracle import (
-    OracleConfig,
     equivalence_suite,
     min_nodes_for_rank,
+    pathwidth_oracle,
     rank_bruteforce,
 )
 from .rank import rank, rank_witness_to_json
 from .render import render_ascii, render_svg
 from .tree import (
-    ParseError,
     gen_complete_binary,
     gen_hpd_family,
     gen_path,
@@ -56,7 +55,7 @@ from .tree import (
     tree_from_json,
     tree_to_json,
 )
-from .verify import DrawingMismatch, check_drawing, extract_rank_witness
+from .verify import check_drawing, extract_rank_witness
 from .widths import param_report
 
 __all__ = ["main"]
@@ -131,8 +130,9 @@ def _cmd_widths(args) -> int:
         raise _UsageError(
             f"--pw enumerates layouts and is capped at n <= {args.pw_cap}; got n={t.n}"
         )
-    report = param_report(t, include_pw=args.pw, pw_cap=args.pw_cap)
-    out = report.to_json()
+    out = param_report(t).to_json()
+    if args.pw:
+        out["pw"] = pathwidth_oracle(t, max_n=args.pw_cap)
     out["rank"] = rank(t).root_rank()
     _emit(out)
     return 0
@@ -148,13 +148,7 @@ def _cmd_draw(args) -> int:
         d = reduce_bends(draw_ordered(t), t)
     out = drawing_to_json(d)
     if args.stats:
-        s = layout_stats(d)
-        out["stats"] = {
-            "width": s.width,
-            "height": s.height,
-            "max_bends_per_edge": s.max_bends_per_edge,
-            "root_corner": s.root_corner,
-        }
+        out["stats"] = asdict(layout_stats(d))
     _emit(out)
     return 0
 
@@ -192,36 +186,31 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise _UsageError(
+            f"{flag} {value} exceeds the oracle cap {cap} "
+            "(set UPTREE_ORACLE_CAP to raise it)"
+        )
+
+
 def _cmd_oracle(args) -> int:
     cap = _oracle_cap()
     if args.what == "rank":
         t = _load_tree(args.tree)
-        if args.max_n > cap:
-            raise _UsageError(
-                f"--max-n {args.max_n} exceeds the oracle cap {cap} "
-                "(set UPTREE_ORACLE_CAP to raise it)"
-            )
+        _check_cap("--max-n", args.max_n, cap)
         brute = rank_bruteforce(t, max_n=args.max_n)
         engine = rank(t).root_rank()
         _emit({"n": t.n, "rank_bruteforce": brute, "rank_engine": engine,
                "agree": brute == engine})
         return 0 if brute == engine else 1
     if args.what == "nw":
-        if args.n_max > cap:
-            raise _UsageError(
-                f"--n-max {args.n_max} exceeds the oracle cap {cap} "
-                "(set UPTREE_ORACLE_CAP to raise it)"
-            )
+        _check_cap("--n-max", args.n_max, cap)
         _emit(min_nodes_for_rank(args.W, n_max=args.n_max).to_json())
         return 0
     # equivalence
-    if args.max_n > cap:
-        raise _UsageError(
-            f"--max-n {args.max_n} exceeds the oracle cap {cap} "
-            "(set UPTREE_ORACLE_CAP to raise it)"
-        )
-    report = equivalence_suite(OracleConfig(max_n=args.max_n, max_W=args.max_w,
-                                            seed=args.seed))
+    _check_cap("--max-n", args.max_n, cap)
+    report = equivalence_suite(max_n=args.max_n, max_W=args.max_w)
     _emit(report)
     return 0 if report["agree"] else 1
 
@@ -309,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest tree size to enumerate (default 8)")
     q.add_argument("--max-w", type=int, default=4,
                    help="largest width to test (default 4)")
-    q.add_argument("--seed", type=int, default=0, help="echoed into the report")
     q.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("render", help="drawing JSON -> ascii or svg")
@@ -326,13 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as e:
-        print(f"uptree: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, DrawingMismatch) as e:
-        print(f"uptree: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (_UsageError, ValueError) as e:  # ParseError, DrawingMismatch too
         print(f"uptree: {e}", file=sys.stderr)
         return 2
 

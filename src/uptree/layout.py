@@ -140,11 +140,11 @@ def draw_unordered(t: Tree, ann: Optional[RpwAnnotation] = None) -> Drawing:
 
 def _flush_edge(rx, top):
     """Edge from the root at (1, 0) to a child block flush with column 1
-    whose root is at (rx, top)."""
+    whose root is at (rx, top).  A child with rx > 1 is wider than one
+    column and never starts on row 1, so the bend (1, top - 1) lies
+    below the root."""
     if rx == 1:
         return [(1, 0), (1, top)]
-    if top == 1:
-        return [(1, 0), (rx, top)]
     return [(1, 0), (1, top - 1), (rx, top)]
 
 

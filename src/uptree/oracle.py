@@ -5,14 +5,20 @@ implementations elsewhere have something independent to disagree with:
 
 * ``rank_bruteforce`` -- least W admitting a width witness, found by
   enumerating every big/small split, anchor position, and column.
+* ``rpw_path_oracle`` -- rpw from its root-to-leaf-path
+  characterization, tried over every path.
+* ``pathwidth_oracle`` -- unrooted pathwidth by the remove-a-path
+  recursion, tried over every path.
 * ``min_nodes_for_rank`` -- exhaustive search for the smallest tree of a
   given rank.
 * ``equivalence_suite`` -- checks that five different phrasings of
   "a width-W witness exists" agree on every small tree.
 
-The brute-force path never calls the linear-time engine in
-:mod:`uptree.rank`; the only import of it lives inside
-``equivalence_suite``, where the scans are the thing being tested.
+The brute-force paths never call the linear-time engines in
+:mod:`uptree.rank` or :mod:`uptree.widths`; the only import of the rank
+engine lives inside ``equivalence_suite``, where the scans are the thing
+being tested.  Memo tables live for one call of a public function, so a
+long-lived process keeps none of them.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ from typing import Iterator, Optional, Sequence
 from .tree import Tree, parse_tree, serialize_tree
 
 __all__ = [
-    "OracleConfig",
     "NWRecord",
     "enumerate_trees",
     "rank_bruteforce",
+    "rpw_path_oracle",
+    "pathwidth_oracle",
     "rank_witness_exists_brute",
     "corner_witness_exists_brute",
     "min_nodes_for_rank",
@@ -174,10 +181,6 @@ def _gaps_ok(child_ranks, W, wprime, idx, side) -> bool:
     return True
 
 
-# rank per ordered shape (nested tuples); shared by every oracle entry point
-_rank_memo: dict = {(): 1}
-
-
 def _shapes(t: Tree) -> list:
     out = [None] * t.n
     for v in t.bottom_up():
@@ -185,18 +188,22 @@ def _shapes(t: Tree) -> list:
     return out
 
 
-def _rank_of_shape(shape) -> int:
-    got = _rank_memo.get(shape)
+def _rank_of_shape(shape, memo: dict) -> int:
+    # memo maps ordered shapes (nested tuples) to their rank; each public
+    # entry point brings its own, so nothing outlives the call
+    if not shape:
+        return 1
+    got = memo.get(shape)
     if got is not None:
         return got
-    ranks = [_rank_of_shape(c) for c in shape]
+    ranks = [_rank_of_shape(c, memo) for c in shape]
     W = 1
     while not rank_witness_exists_brute(ranks, W):
         W += 1
         # one past the max child rank always admits a witness (big = {c_1});
         # running past it means the enumeration itself is broken
         assert W <= max(ranks) + 1, "brute witness search ran away"
-    _rank_memo[shape] = W
+    memo[shape] = W
     return W
 
 
@@ -209,7 +216,159 @@ def rank_bruteforce(t: Tree, max_n: int = 11) -> int:
     """
     if t.n > max_n:
         raise ValueError(f"tree has {t.n} nodes, oracle cap is {max_n}")
-    return _rank_of_shape(_shapes(t)[t.root])
+    return _rank_of_shape(_shapes(t)[t.root], {})
+
+
+def rpw_path_oracle(t: Tree, max_n: int = 16) -> int:
+    """Evaluate the root-to-leaf-path characterization of rpw literally.
+
+    A rooted path has value 1; otherwise take the minimum over all
+    root-to-leaf paths P of the maximum over subtrees T' hanging off P
+    of 1 + rpw_path_oracle(T').  Exponential in principle; memoized on
+    child-order-insensitive shapes (the value never depends on child
+    order) within the call, capped at max_n nodes.
+    """
+    if t.n > max_n:
+        raise ValueError(f"rpw_path_oracle capped at n <= {max_n}, got {t.n}")
+    shapes: dict = {}
+    for v in t.bottom_up():
+        shapes[v] = tuple(sorted(shapes[c] for c in t.children(v)))
+    return _rpw_of_shape(shapes[0], {})
+
+
+def _rpw_of_shape(shape, memo: dict) -> int:
+    got = memo.get(shape)
+    if got is not None:
+        return got
+    if not shape:
+        val = 1
+    else:
+        vals = [_rpw_of_shape(s, memo) for s in shape]
+        best = None
+        for k in range(len(shape)):
+            # path descends into child k; its siblings hang off the path
+            v = _rpw_of_shape(shape[k], memo)
+            for j, w in enumerate(vals):
+                if j != k and w + 1 > v:
+                    v = w + 1
+            if best is None or v < best:
+                best = v
+        val = best
+    memo[shape] = val
+    return val
+
+
+def pathwidth_oracle(t: Tree, max_n: int = 14) -> int:
+    """Unrooted pathwidth by the remove-a-path recursion, exhaustively.
+
+    pw = 0 for a single node; otherwise the minimum over all paths P in
+    the tree (any two endpoints, possibly equal) of the maximum over
+    connected components T' of T - P of 1 + pw(T').  When removing P
+    leaves nothing, the maximum is 0, so any tree that *is* a path gets
+    pw 1.  Memoized on a canonical unrooted form within the call; capped
+    at max_n nodes.
+    """
+    if t.n > max_n:
+        raise ValueError(f"pathwidth_oracle capped at n <= {max_n}, got {t.n}")
+    adj: dict = {v: [] for v in range(t.n)}
+    for v in range(t.n):
+        for c in t.children(v):
+            adj[v].append(c)
+            adj[c].append(v)
+    return _pw_of(frozenset(range(t.n)), adj, {})
+
+
+def _pw_of(comp: frozenset, adj: dict, memo: dict) -> int:
+    if len(comp) == 1:
+        return 0
+    key = _unrooted_canon(comp, adj)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    nodes = sorted(comp)
+    best = None
+    for ia, a in enumerate(nodes):
+        for b in nodes[ia:]:
+            path = _tree_path(a, b, comp, adj)
+            # the path itself occupies one track, so the floor is 1
+            worst = 1
+            for sub in _components(comp.difference(path), adj):
+                worst = max(worst, 1 + _pw_of(sub, adj, memo))
+                if best is not None and worst >= best:
+                    break
+            if best is None or worst < best:
+                best = worst
+    memo[key] = best
+    return best
+
+
+def _tree_path(a, b, comp, adj):
+    # unique a-b path inside comp
+    if a == b:
+        return {a}
+    prev = {a: a}
+    queue = [a]
+    while queue:
+        nxt = []
+        for v in queue:
+            for w in adj[v]:
+                if w in comp and w not in prev:
+                    prev[w] = v
+                    nxt.append(w)
+        if b in prev:
+            break
+        queue = nxt
+    path = {b}
+    v = b
+    while v != a:
+        v = prev[v]
+        path.add(v)
+    return path
+
+
+def _components(rest: frozenset, adj):
+    left = set(rest)
+    while left:
+        start = left.pop()
+        comp = {start}
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for w in adj[v]:
+                if w in left:
+                    left.remove(w)
+                    comp.add(w)
+                    queue.append(w)
+        yield frozenset(comp)
+
+
+def _unrooted_canon(comp: frozenset, adj):
+    # Root at the tree's center (or the smaller form of the two centers)
+    # and build a sorted nested-tuple signature.
+    if len(comp) == 1:
+        return ()
+    degree = {v: sum(1 for w in adj[v] if w in comp) for v in comp}
+    alive = set(comp)
+    layer = [v for v in alive if degree[v] <= 1]
+    while len(alive) > 2:
+        nxt = []
+        for v in layer:
+            alive.remove(v)
+            for w in adj[v]:
+                if w in alive:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    centers = sorted(alive)
+    return min(_rooted_signature(c, comp, adj) for c in centers)
+
+
+def _rooted_signature(root, comp, adj):
+    def sig(v, parent):
+        return tuple(sorted(sig(w, v) for w in adj[v] if w in comp and w != parent))
+
+    return sig(root, None)
 
 
 @dataclass(frozen=True)
@@ -240,32 +399,20 @@ def min_nodes_for_rank(W: int, n_max: int) -> NWRecord:
         raise ValueError("W must be in 1..4 (search space explodes beyond)")
     if n_max < 1 or n_max > _ENUM_CAP:
         raise ValueError(f"n_max must be in 1..{_ENUM_CAP}")
+    memo: dict = {}
     for n in range(1, n_max + 1):
         for t in enumerate_trees(n):
-            if rank_bruteforce(t, max_n=n_max) == W:
+            if _rank_of_shape(_shapes(t)[t.root], memo) == W:
                 assert n >= 2 ** (W - 1), f"rank-{W} tree with {n} nodes"
                 return NWRecord(W=W, min_nodes_found=n, search_bound=n_max)
     return NWRecord(W=W, min_nodes_found=None, search_bound=n_max)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Bounds for the equivalence suite."""
-
-    max_n: int = 11
-    max_W: int = 6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
-
-
-def equivalence_suite(cfg: OracleConfig) -> dict:
+def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
     """Cross-check five phrasings of witness existence on every small tree.
 
-    For every ordered tree with 2 <= n <= cfg.max_n and every W in
-    1..cfg.max_W, evaluates over the root's child ranks:
+    For every ordered tree with 2 <= n <= max_n and every W in 1..max_W,
+    evaluates over the root's child ranks:
 
     * ``witness``        -- some width-W witness exists (brute),
     * ``corner_X``       -- one exists with X in {1, W},
@@ -274,21 +421,23 @@ def equivalence_suite(cfg: OracleConfig) -> dict:
     * ``corner_witness`` -- a left or right corner witness exists (brute).
 
     All five must agree everywhere; any disagreement lands in the report,
-    smallest trees first.  The seed is echoed into the report so runs are
-    identifiable; the sweep itself is exhaustive and deterministic.
+    smallest trees first.  The sweep is exhaustive and deterministic.
     """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     # the one deliberate contact with the engine: the scans are the subject
     from .rank import CornerWitness, test_left, test_right
 
+    memo: dict = {}
     trees = 0
     pairs = 0
     n_disagree = 0
     disagreements: list = []
-    for n in range(2, cfg.max_n + 1):
-        for t in enumerate_trees(n, max_n=cfg.max_n):
-            ranks = [_rank_of_shape(s) for s in _shapes(t)[t.root]]
+    for n in range(2, max_n + 1):
+        for t in enumerate_trees(n, max_n=max_n):
+            ranks = [_rank_of_shape(s, memo) for s in _shapes(t)[t.root]]
             trees += 1
-            for W in range(1, cfg.max_W + 1):
+            for W in range(1, max_W + 1):
                 pairs += 1
                 votes = {
                     "witness": rank_witness_exists_brute(ranks, W),
@@ -306,9 +455,8 @@ def equivalence_suite(cfg: OracleConfig) -> dict:
                         entry.update(votes)
                         disagreements.append(entry)
     return {
-        "max_n": cfg.max_n,
-        "max_W": cfg.max_W,
-        "seed": cfg.seed,
+        "max_n": max_n,
+        "max_W": max_W,
         "trees_checked": trees,
         "pairs_checked": pairs,
         "disagreement_count": n_disagree,

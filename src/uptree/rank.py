@@ -2,9 +2,10 @@
 
 The rank equals the optimum width of an order-preserving strictly-upward
 poly-line drawing.  It is computed bottom-up in linear time: a node whose
-children have maximum rank W either admits a corner-W-witness (found by
-``test_left``/``test_right``, each a single scan of the child ranks) and
-gets rank W, or gets rank W + 1 with the vacuous witness.
+children have maximum rank W either admits a corner-W-witness and gets
+rank W, or gets rank W + 1 with the vacuous witness.  ``test_left`` and
+``test_right`` look for the witness with one shared scan of the child
+ranks; a right witness is a left one on the mirrored child order.
 
 Two witness kinds appear throughout:
 
@@ -14,6 +15,10 @@ Two witness kinds appear throughout:
 * ``CornerWitness`` -- one-sided normal form: a threshold W' and a
   monotone index sequence sigma(W'), ..., sigma(W) picking children of
   exactly those ranks, everything between them being low-rank (C1, C2).
+
+``validate_rank_witness`` and ``validate_corner_witness`` check either
+kind against the child ranks; the exhaustive searches that tests compare
+against live in :mod:`uptree.oracle`.
 
 Child indices are 1-based everywhere, matching the c_1..c_d convention.
 """
@@ -35,11 +40,7 @@ __all__ = [
     "rank",
     "validate_rank_witness",
     "validate_corner_witness",
-    "push_to_corner",
-    "corner_witness_to_json",
-    "corner_witness_from_json",
     "rank_witness_to_json",
-    "rank_witness_from_json",
 ]
 
 
@@ -96,71 +97,38 @@ def test_left(child_ranks: Sequence[int], W: int) -> Union[CornerWitness, TestFa
     Returns the witness on success, a TestFailure (a value, not an
     exception) otherwise.  Runs in one pass over the child ranks.
     """
-    d = len(child_ranks)
-    if d < 1:
-        raise ValueError("need at least one child rank")
-    if W < 1:
-        raise ValueError("W must be >= 1")
-    i = 0
-    for k in range(d, 0, -1):
-        if child_ranks[k - 1] >= W:
-            i = k
-            break
-    if i == 0:
-        # all children of rank <= W-1: vacuous witness
-        return CornerWitness("left", W, W + 1, {})
-    if child_ranks[i - 1] > W:
-        return TestFailure(i, W, f"child {i} has rank {child_ranks[i - 1]} > W")
-    # c_i is the rightmost child of rank exactly W
-    sigma = {W: i}
-    w = W
-    i -= 1
-    while True:
-        while i > 0 and child_ranks[i - 1] <= w - 2:
-            i -= 1
-        if i == 0:
-            return CornerWitness("left", W, w, sigma)
-        if child_ranks[i - 1] >= w:
-            return TestFailure(
-                i, w, f"child {i} has rank {child_ranks[i - 1]} >= {w}, no slot left"
-            )
-        sigma[w - 1] = i
-        w -= 1
-        i -= 1
+    return _scan(child_ranks, W, "left")
 
 
 def test_right(child_ranks: Sequence[int], W: int) -> Union[CornerWitness, TestFailure]:
     """Mirror scan for a right-corner-W-witness, left to right."""
+    return _scan(child_ranks, W, "right")
+
+
+def _scan(child_ranks: Sequence[int], W: int, side: str) -> Union[CornerWitness, TestFailure]:
+    # Walk away from the witness's corner: c_d down to c_1 for a left
+    # witness, c_1 up to c_d for a right one.  A child of rank w - 1
+    # takes the next chain slot, lower ranks fill the gap before it, and
+    # anything higher leaves no slot.  With no rank-W child at all the
+    # loop ends with w = W + 1, the vacuous witness.
     d = len(child_ranks)
     if d < 1:
         raise ValueError("need at least one child rank")
     if W < 1:
         raise ValueError("W must be >= 1")
-    i = 0
-    for k in range(1, d + 1):
-        if child_ranks[k - 1] >= W:
-            i = k
-            break
-    if i == 0:
-        return CornerWitness("right", W, W + 1, {})
-    if child_ranks[i - 1] > W:
-        return TestFailure(i, W, f"child {i} has rank {child_ranks[i - 1]} > W")
-    # c_i is the leftmost child of rank exactly W
-    sigma = {W: i}
-    w = W
-    i += 1
-    while True:
-        while i <= d and child_ranks[i - 1] <= w - 2:
-            i += 1
-        if i == d + 1:
-            return CornerWitness("right", W, w, sigma)
-        if child_ranks[i - 1] >= w:
-            return TestFailure(
-                i, w, f"child {i} has rank {child_ranks[i - 1]} >= {w}, no slot left"
-            )
-        sigma[w - 1] = i
+    sigma: dict = {}
+    w = W + 1
+    for i in range(d, 0, -1) if side == "left" else range(1, d + 1):
+        r = child_ranks[i - 1]
+        if r <= w - 2:
+            continue
+        if r >= w:
+            if not sigma:
+                return TestFailure(i, W, f"child {i} has rank {r} > W")
+            return TestFailure(i, w, f"child {i} has rank {r} >= {w}, no slot left")
         w -= 1
-        i += 1
+        sigma[w] = i
+    return CornerWitness(side, W, w, sigma)
 
 
 def rank(t: Tree) -> RankAnnotation:
@@ -179,9 +147,9 @@ def rank(t: Tree) -> RankAnnotation:
             continue
         ranks = [rk[c] for c in kids]
         W = max(ranks)
-        res = test_left(ranks, W)
+        res = _scan(ranks, W, "left")
         if isinstance(res, TestFailure):
-            res = test_right(ranks, W)
+            res = _scan(ranks, W, "right")
         if isinstance(res, TestFailure):
             # rank W+1, witness vacuous since all children have rank <= W
             rk[v] = W + 1
@@ -306,56 +274,6 @@ def validate_corner_witness(child_ranks: Sequence[int], cw: CornerWitness) -> li
     return out
 
 
-def push_to_corner(child_ranks: Sequence[int], w: RankWitness) -> RankWitness:
-    """Move a valid rank-W-witness's coordinate to X = 1 or X = W.
-
-    Input must be valid and have W >= 2; raises ValueError otherwise.
-    If X is already extremal the witness is returned unchanged.  The new
-    witness uses at most two big children, picked by where the (unique)
-    rank-W child sits relative to the at-most-one rank-(W-1) child.
-    """
-    problems = validate_rank_witness(child_ranks, w)
-    if problems:
-        raise ValueError(f"input witness invalid: {problems[0]}")
-    if w.W < 2:
-        raise ValueError("push_to_corner needs W >= 2")
-    if w.X in (1, w.W):
-        return w
-    d = len(child_ranks)
-    W = w.W
-    tops = [i for i in range(1, d + 1) if child_ranks[i - 1] == W]
-    if not tops:
-        # every child fits below W: c_1 big, everything else small
-        return RankWitness(W=W, X=1, v=1, big=frozenset({1}), rank_bounds={1: W})
-    m = tops[0]
-    seconds = [i for i in range(1, d + 1) if child_ranks[i - 1] == W - 1]
-    if not seconds or seconds[0] > m:
-        big = frozenset({1, m})
-        bounds = {m: W} if m == 1 else {1: W - 1, m: W}
-        return RankWitness(W=W, X=1, v=1, big=big, rank_bounds=bounds)
-    big = frozenset({m, d})
-    bounds = {m: W} if m == d else {d: W - 1, m: W}
-    return RankWitness(W=W, X=W, v=d, big=big, rank_bounds=bounds)
-
-
-def corner_witness_to_json(cw: CornerWitness) -> dict:
-    return {
-        "side": cw.side,
-        "W": cw.W,
-        "Wprime": cw.Wprime,
-        "sigma": {str(w): i for w, i in sorted(cw.sigma.items())},
-    }
-
-
-def corner_witness_from_json(obj: dict) -> CornerWitness:
-    return CornerWitness(
-        side=obj["side"],
-        W=int(obj["W"]),
-        Wprime=int(obj["Wprime"]),
-        sigma={int(k): int(v) for k, v in obj.get("sigma", {}).items()},
-    )
-
-
 def rank_witness_to_json(w: RankWitness) -> dict:
     return {
         "W": w.W,
@@ -364,13 +282,3 @@ def rank_witness_to_json(w: RankWitness) -> dict:
         "big": sorted(w.big),
         "pi": {str(i): b for i, b in sorted(w.rank_bounds.items())},
     }
-
-
-def rank_witness_from_json(obj: dict) -> RankWitness:
-    return RankWitness(
-        W=int(obj["W"]),
-        X=int(obj["X"]),
-        v=int(obj["v"]),
-        big=frozenset(int(i) for i in obj.get("big", [])),
-        rank_bounds={int(k): int(v) for k, v in obj.get("pi", {}).items()},
-    )

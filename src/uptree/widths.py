@@ -1,20 +1,18 @@
-"""Width parameters of rooted trees.
-
-Three parameters, plus exhaustive oracles for two of them:
+"""Width parameters of rooted trees, each in linear time:
 
 * rooted pathwidth ``rpw`` -- bottom-up recursion where one child (the
   rpw-heaviest) escapes the +1 increment; equals the optimum width of
   unordered upward drawings.
 * heavy-path depth ``hpd`` -- same recursion but the escaping child is
   the size-heaviest one.
-* pathwidth ``pw`` (unrooted) -- exhaustive evaluation of the
-  remove-a-path recursion; exponential, capped by size.
+
+The exhaustive oracles for rpw and the unrooted pathwidth ``pw`` are in
+:mod:`uptree.oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .tree import Tree
 
@@ -23,8 +21,6 @@ __all__ = [
     "ParamReport",
     "rooted_pathwidth",
     "heavy_path_depth",
-    "rpw_path_oracle",
-    "pathwidth_oracle",
     "param_report",
 ]
 
@@ -45,13 +41,9 @@ class ParamReport:
     n: int
     rpw: int
     hpd: int
-    pw: Optional[int] = None
 
     def to_json(self) -> dict:
-        out = {"n": self.n, "rpw": self.rpw, "hpd": self.hpd}
-        if self.pw is not None:
-            out["pw"] = self.pw
-        return out
+        return {"n": self.n, "rpw": self.rpw, "hpd": self.hpd}
 
 
 def rooted_pathwidth(t: Tree) -> RpwAnnotation:
@@ -105,169 +97,10 @@ def heavy_path_depth(t: Tree) -> int:
     return hpd[0]
 
 
-def param_report(t: Tree, include_pw: bool = False, pw_cap: int = 14) -> ParamReport:
-    """Bundle rpw, hpd, and (optionally) the pathwidth-oracle value."""
-    pw = pathwidth_oracle(t, max_n=pw_cap) if include_pw else None
+def param_report(t: Tree) -> ParamReport:
+    """Bundle n, rpw and hpd."""
     return ParamReport(
         n=t.n,
         rpw=rooted_pathwidth(t).root_value(),
         hpd=heavy_path_depth(t),
-        pw=pw,
     )
-
-
-_rpw_oracle_memo: dict = {}
-
-
-def rpw_path_oracle(t: Tree, max_n: int = 16) -> int:
-    """Evaluate the root-to-leaf-path characterization of rpw literally.
-
-    A rooted path has value 1; otherwise take the minimum over all
-    root-to-leaf paths P of the maximum over subtrees T' hanging off P
-    of 1 + rpw_path_oracle(T').  Exponential in principle; memoized on
-    child-order-insensitive shapes (the value never depends on child
-    order), capped at max_n nodes.
-    """
-    if t.n > max_n:
-        raise ValueError(f"rpw_path_oracle capped at n <= {max_n}, got {t.n}")
-    shapes: dict = {}
-    for v in t.bottom_up():
-        shapes[v] = tuple(sorted(shapes[c] for c in t.children(v)))
-    return _rpw_of_shape(shapes[0])
-
-
-def _rpw_of_shape(shape) -> int:
-    got = _rpw_oracle_memo.get(shape)
-    if got is not None:
-        return got
-    if not shape:
-        val = 1
-    else:
-        vals = [_rpw_of_shape(s) for s in shape]
-        best = None
-        for k in range(len(shape)):
-            # path descends into child k; its siblings hang off the path
-            v = _rpw_of_shape(shape[k])
-            for j, w in enumerate(vals):
-                if j != k and w + 1 > v:
-                    v = w + 1
-            if best is None or v < best:
-                best = v
-        val = best
-    _rpw_oracle_memo[shape] = val
-    return val
-
-
-_pw_memo: dict = {}
-
-
-def pathwidth_oracle(t: Tree, max_n: int = 14) -> int:
-    """Unrooted pathwidth by the remove-a-path recursion, exhaustively.
-
-    pw = 0 for a single node; otherwise the minimum over all paths P in
-    the tree (any two endpoints, possibly equal) of the maximum over
-    connected components T' of T - P of 1 + pw(T').  When removing P
-    leaves nothing, the maximum is 0, so any tree that *is* a path gets
-    pw 1.  Memoized on a canonical unrooted form; capped at max_n nodes.
-    """
-    if t.n > max_n:
-        raise ValueError(f"pathwidth_oracle capped at n <= {max_n}, got {t.n}")
-    adj: dict = {v: [] for v in range(t.n)}
-    for v in range(t.n):
-        for c in t.children(v):
-            adj[v].append(c)
-            adj[c].append(v)
-    return _pw_of(frozenset(range(t.n)), adj)
-
-
-def _pw_of(comp: frozenset, adj: dict) -> int:
-    if len(comp) == 1:
-        return 0
-    key = _unrooted_canon(comp, adj)
-    got = _pw_memo.get(key)
-    if got is not None:
-        return got
-    nodes = sorted(comp)
-    best = None
-    for ia, a in enumerate(nodes):
-        for b in nodes[ia:]:
-            path = _tree_path(a, b, comp, adj)
-            # the path itself occupies one track, so the floor is 1
-            worst = 1
-            for sub in _components(comp.difference(path), adj):
-                worst = max(worst, 1 + _pw_of(sub, adj))
-                if best is not None and worst >= best:
-                    break
-            if best is None or worst < best:
-                best = worst
-    _pw_memo[key] = best
-    return best
-
-
-def _tree_path(a, b, comp, adj):
-    # unique a-b path inside comp
-    if a == b:
-        return {a}
-    prev = {a: a}
-    queue = [a]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in adj[v]:
-                if w in comp and w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        if b in prev:
-            break
-        queue = nxt
-    path = {b}
-    v = b
-    while v != a:
-        v = prev[v]
-        path.add(v)
-    return path
-
-
-def _components(rest: frozenset, adj):
-    left = set(rest)
-    while left:
-        start = left.pop()
-        comp = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w in left:
-                    left.remove(w)
-                    comp.add(w)
-                    queue.append(w)
-        yield frozenset(comp)
-
-
-def _unrooted_canon(comp: frozenset, adj):
-    # Root at the tree's center (or the smaller form of the two centers)
-    # and build a sorted nested-tuple signature.
-    if len(comp) == 1:
-        return ()
-    degree = {v: sum(1 for w in adj[v] if w in comp) for v in comp}
-    alive = set(comp)
-    layer = [v for v in alive if degree[v] <= 1]
-    while len(alive) > 2:
-        nxt = []
-        for v in layer:
-            alive.remove(v)
-            for w in adj[v]:
-                if w in alive:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = sorted(alive)
-    return min(_rooted_signature(c, comp, adj) for c in centers)
-
-
-def _rooted_signature(root, comp, adj):
-    def sig(v, parent):
-        return tuple(sorted(sig(w, v) for w in adj[v] if w in comp and w != parent))
-
-    return sig(root, None)

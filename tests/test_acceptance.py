@@ -13,10 +13,10 @@ import time
 import conftest
 from uptree.layout import draw_ordered, draw_unordered, layout_stats, reduce_bends
 from uptree.oracle import (
-    OracleConfig,
     enumerate_trees,
     equivalence_suite,
     min_nodes_for_rank,
+    pathwidth_oracle,
     rank_bruteforce,
 )
 from uptree.rank import rank
@@ -31,7 +31,7 @@ from uptree.verify import (
     extract_rank_witness,
     reorder_children_by_drawing,
 )
-from uptree.widths import heavy_path_depth, pathwidth_oracle, rooted_pathwidth
+from uptree.widths import heavy_path_depth, rooted_pathwidth
 
 
 def report(num: int, ok: bool, text: str, secs: float):
@@ -65,7 +65,7 @@ def test_criterion_1_rank_engine_matches_bruteforce():
 
 def test_criterion_2_equivalence_suite():
     t0 = time.perf_counter()
-    rep = equivalence_suite(OracleConfig(max_n=8, max_W=4))
+    rep = equivalence_suite(max_n=8, max_W=4)
     secs = time.perf_counter() - t0
     ok = rep["agree"] and rep["disagreement_count"] == 0 and secs < 300
     report(2, ok, f"witness-existence phrasings agree on "

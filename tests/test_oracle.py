@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uptree.oracle as oracle_module
 from uptree.oracle import (
     NWRecord,
-    OracleConfig,
     corner_witness_exists_brute,
     enumerate_trees,
     equivalence_suite,
     min_nodes_for_rank,
+    pathwidth_oracle,
     rank_bruteforce,
     rank_witness_exists_brute,
+    rpw_path_oracle,
 )
 from uptree.rank import CornerWitness, rank
 from uptree.rank import test_left as left_scan
@@ -224,7 +226,7 @@ def test_min_nodes_rejects_bad_input():
 
 
 def test_equivalence_suite_small():
-    rep = equivalence_suite(OracleConfig(max_n=7, max_W=4))
+    rep = equivalence_suite(max_n=7, max_W=4)
     assert rep["agree"]
     assert rep["disagreements"] == []
     assert rep["disagreement_count"] == 0
@@ -233,11 +235,37 @@ def test_equivalence_suite_small():
 
 
 def test_equivalence_suite_echoes_config():
-    rep = equivalence_suite(OracleConfig(max_n=3, max_W=2, seed=99))
-    assert (rep["max_n"], rep["max_W"], rep["seed"]) == (3, 2, 99)
+    rep = equivalence_suite(max_n=3, max_W=2)
+    assert (rep["max_n"], rep["max_W"]) == (3, 2)
+    assert "seed" not in rep
     assert rep["trees_checked"] == 3
 
 
 def test_oracle_config_validates():
     with pytest.raises(ValueError):
-        OracleConfig(max_n=0)
+        equivalence_suite(max_n=0)
+
+
+# ------------------------------------------------------------------ memos
+
+
+def _module_container_sizes():
+    return {
+        name: len(value)
+        for name, value in vars(oracle_module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_oracles_keep_no_module_state():
+    # memo tables live for one call; a long-lived process must not
+    # accumulate them
+    before = _module_container_sizes()
+    t = gen_random_tree(9, seed=3)
+    for _ in range(2):
+        rank_bruteforce(t)
+        rpw_path_oracle(t)
+        pathwidth_oracle(t)
+        min_nodes_for_rank(2, n_max=4)
+        equivalence_suite(max_n=4, max_W=2)
+    assert _module_container_sizes() == before

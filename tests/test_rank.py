@@ -9,11 +9,7 @@ from hypothesis import strategies as st
 from uptree.rank import (
     CornerWitness,
     RankWitness,
-    corner_witness_from_json,
-    corner_witness_to_json,
-    push_to_corner,
     rank,
-    rank_witness_from_json,
     rank_witness_to_json,
     validate_corner_witness,
     validate_rank_witness,
@@ -29,6 +25,38 @@ from uptree.tree import (
     parse_tree,
 )
 from uptree.widths import rooted_pathwidth
+
+
+def push_to_corner(child_ranks, w: RankWitness) -> RankWitness:
+    """Move a valid rank-W-witness's coordinate to X = 1 or X = W.
+
+    Input must be valid and have W >= 2; raises ValueError otherwise.
+    If X is already extremal the witness is returned unchanged.  The new
+    witness uses at most two big children, picked by where the (unique)
+    rank-W child sits relative to the at-most-one rank-(W-1) child.
+    """
+    problems = validate_rank_witness(child_ranks, w)
+    if problems:
+        raise ValueError(f"input witness invalid: {problems[0]}")
+    if w.W < 2:
+        raise ValueError("push_to_corner needs W >= 2")
+    if w.X in (1, w.W):
+        return w
+    d = len(child_ranks)
+    W = w.W
+    tops = [i for i in range(1, d + 1) if child_ranks[i - 1] == W]
+    if not tops:
+        # every child fits below W: c_1 big, everything else small
+        return RankWitness(W=W, X=1, v=1, big=frozenset({1}), rank_bounds={1: W})
+    m = tops[0]
+    seconds = [i for i in range(1, d + 1) if child_ranks[i - 1] == W - 1]
+    if not seconds or seconds[0] > m:
+        big = frozenset({1, m})
+        bounds = {m: W} if m == 1 else {1: W - 1, m: W}
+        return RankWitness(W=W, X=1, v=1, big=big, rank_bounds=bounds)
+    big = frozenset({m, d})
+    bounds = {m: W} if m == d else {d: W - 1, m: W}
+    return RankWitness(W=W, X=W, v=d, big=big, rank_bounds=bounds)
 
 
 def test_test_left_examples():
@@ -218,11 +246,12 @@ def test_push_to_corner_rejects_bad_input():
         push_to_corner([1], small)
 
 
-def test_witness_json_round_trip():
-    cw = CornerWitness("right", 3, 2, {2: 4, 3: 1})
-    assert corner_witness_from_json(corner_witness_to_json(cw)) == cw
-    rw = RankWitness(W=3, X=3, v=4, big=frozenset({3, 4}), rank_bounds={3: 3, 4: 1})
-    assert rank_witness_from_json(rank_witness_to_json(rw)) == rw
+def test_rank_witness_to_json():
+    rw = RankWitness(W=3, X=3, v=4, big=frozenset({4, 3}), rank_bounds={4: 1, 3: 3})
+    assert rank_witness_to_json(rw) == {
+        "W": 3, "X": 3, "v": 4, "big": [3, 4], "pi": {"3": 3, "4": 1},
+    }
+    assert list(rank_witness_to_json(rw)["pi"]) == ["3", "4"]
 
 
 def test_obs_one_top_child():
@@ -275,3 +304,25 @@ def test_left_success_yields_valid_witness(ranks, W):
     res_r = right_scan(ranks, W)
     if isinstance(res_r, CornerWitness):
         assert validate_corner_witness(ranks, res_r) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=9),
+    st.integers(1, 6),
+)
+def test_right_scan_mirrors_left_scan(ranks, W):
+    # a right witness is a left witness on the reversed child order, with
+    # every child index i read as d + 1 - i
+    d = len(ranks)
+    right = right_scan(ranks, W)
+    left = left_scan(ranks[::-1], W)
+    assert type(right) is type(left)
+    if isinstance(left, CornerWitness):
+        assert right == CornerWitness(
+            "right", left.W, left.Wprime, {w: d + 1 - i for w, i in left.sigma.items()}
+        )
+    else:
+        i = d + 1 - left.index
+        assert (right.index, right.w) == (i, left.w)
+        assert right.reason == left.reason.replace(f"child {left.index} ", f"child {i} ", 1)

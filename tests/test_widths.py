@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uptree.oracle import pathwidth_oracle, rpw_path_oracle
 from uptree.tree import (
     gen_complete_binary,
     gen_hpd_family,
@@ -16,9 +17,7 @@ from uptree.widths import (
     ParamReport,
     heavy_path_depth,
     param_report,
-    pathwidth_oracle,
     rooted_pathwidth,
-    rpw_path_oracle,
 )
 
 
@@ -114,11 +113,11 @@ def test_pathwidth_spider():
 
 
 def test_param_report():
-    rep = param_report(gen_complete_binary(3), include_pw=True)
-    assert rep == ParamReport(n=7, rpw=3, hpd=3, pw=1)
-    assert rep.to_json() == {"n": 7, "rpw": 3, "hpd": 3, "pw": 1}
+    rep = param_report(gen_complete_binary(3))
+    assert rep == ParamReport(n=7, rpw=3, hpd=3)
+    assert rep.to_json() == {"n": 7, "rpw": 3, "hpd": 3}
     rep2 = param_report(gen_hpd_family(6))
-    assert rep2.pw is None
+    assert rep2 == ParamReport(n=gen_hpd_family(6).n, rpw=2, hpd=6)
     assert "pw" not in rep2.to_json()
 
 
