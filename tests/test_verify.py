@@ -1,7 +1,11 @@
 """check_drawing against the exact pairwise oracle, plus mutations,
-hand-built pathological drawings, reordering, and witness extraction."""
+hand-built pathological drawings, reordering, witness extraction, and
+frozen report digests."""
 
+import hashlib
+import json
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from uptree.layout import (
     layout_stats,
     reduce_bends,
 )
-from uptree.rank import rank, validate_rank_witness
+from uptree.rank import rank, rank_witness_to_json, validate_rank_witness
 from uptree.tree import (
     gen_complete_binary,
     gen_path,
@@ -29,6 +33,7 @@ from uptree.verify import (
     extract_rank_witness,
     reorder_children_by_drawing,
 )
+from test_layout import frozen_corpus
 
 EXAMPLE = "(()()(()()))"
 
@@ -100,6 +105,36 @@ def test_constructions_verify_clean(n, seed, mode):
     rep = check_drawing(
         t, d, require=("planar", "upward", "strictly_upward"))
     assert rep.ok, rep.violations[:4]
+
+
+def random_downward_drawing(n, width, seed):
+    """A strictly downward drawing of a random n-node tree on a narrow grid.
+
+    Positions and up to two bends per edge are random, so nodes collide,
+    edges cross, and crossings and touches fall off the grid points.
+    """
+    rng = random.Random(seed)
+    t = gen_random_tree(n, seed=seed)
+    pos = {t.root: (rng.randint(1, width), 0)}
+    edges = {}
+    for v in t.preorder():
+        x, y = pos[v]
+        for c in t.children(v):
+            bends = rng.randint(0, 2)
+            yc = y - bends - 1 - rng.randint(0, 1)
+            pos[c] = (rng.randint(1, width), yc)
+            ys = sorted(rng.sample(range(yc + 1, y), bends), reverse=True)
+            edges[(v, c)] = [(x, y)] + [(rng.randint(1, width), yb) for yb in ys] + [pos[c]]
+    return t, Drawing(mode="unordered", pos=pos, edges=edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 7), width=st.integers(2, 6), seed=st.integers(0, 10**6))
+def test_planarity_agrees_with_pairwise_oracle(n, width, seed):
+    t, d = random_downward_drawing(n, width, seed)
+    rep = check_drawing(t, d, require=("planar",))
+    assert rep.strictly_upward
+    assert rep.planar == (pairwise(t, d, ordered=False) == []), rep.violations
 
 
 # ----------------------------------------------------------- mutations
@@ -324,3 +359,93 @@ def test_extraction_refuses_broken_drawing(example_drawing):
     m.pos[victim] = m.pos[other]
     m.edges[(t.root, victim)] = [m.edges[(t.root, victim)][0], m.pos[other]]
     assert extract_rank_witness(t, m) is None
+
+
+# ------------------------------------------------------ frozen reports
+
+
+def broken_corpus(count=1500):
+    """Seeded drawings of random trees, each mutated one to four times.
+
+    A mutation moves a node to a random point near the drawing (its edges
+    follow) or inserts a random bend, so the corpus holds every kind of
+    violation: climbing and level edges, crossings, overlaps, nodes on
+    edges, shared positions and touches off the grid points.
+    """
+    for k in range(count):
+        rng = random.Random(k)
+        t = gen_random_tree(rng.randint(2, 12), seed=k)
+        mode = ("unordered", "ordered3", "ordered1")[k % 3]
+        if mode == "unordered":
+            d = draw_unordered(t)
+        else:
+            d = draw_ordered(t)
+            if mode == "ordered1":
+                d = reduce_bends(d, t)
+        pos = dict(d.pos)
+        edges = {key: list(pts) for key, pts in d.edges.items()}
+        xs = [p[0] for p in pos.values()]
+        ys = [p[1] for p in pos.values()]
+        x0, x1, y0, y1 = min(xs) - 1, max(xs) + 1, min(ys) - 1, max(ys) + 1
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.4:
+                u = rng.randrange(t.n)
+                p = (rng.randint(x0, x1), rng.randint(y0, y1))
+                pos[u] = p
+                for key, pts in edges.items():
+                    if key[0] == u:
+                        pts[0] = p
+                    if key[1] == u:
+                        pts[-1] = p
+            elif edges:
+                pts = edges[rng.choice(sorted(edges))]
+                pts.insert(rng.randint(1, len(pts) - 1),
+                           (rng.randint(x0, x1), rng.randint(y0, y1)))
+        yield t, Drawing(mode=d.mode, pos=pos, edges=edges)
+
+
+# one phrase of each violation message the corpus must produce
+VIOLATION_KINDS = [
+    "climbs", "runs level", "leaves upward", "out of order", "share position",
+    "in column", "crosses", "collinear and overlap", "lies inside",
+    "touches node", "bends at node", "away from any node", "touches itself",
+]
+
+# SHA-256 over the JSON of every report (check_drawing on broken_corpus)
+# and every witness (extract_rank_witness on the ordered3 drawings of the
+# frozen layout corpus).  A verifier refactor must leave them byte-identical.
+FROZEN_REPORT_DIGESTS = {
+    "reports": "a3b2b243084acaa5897d0098631113be93d530bc43588b4868f49e78732411f1",
+    "witnesses": "c9590d31757e28d57051df2984d6a4f4ec248fe45b67f4c857c2db001b018685",
+}
+
+
+def frozen_outputs(kind):
+    if kind == "reports":
+        for t, d in broken_corpus():
+            yield asdict(check_drawing(t, d, require=("planar", "upward", "order_preserving")))
+    else:
+        for t in frozen_corpus():
+            w = extract_rank_witness(t, draw_ordered(t))
+            yield None if w is None else rank_witness_to_json(w)
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_REPORT_DIGESTS))
+def test_frozen_reports(kind):
+    h = hashlib.sha256()
+    count = 0
+    for out in frozen_outputs(kind):
+        h.update(json.dumps(out, sort_keys=True).encode())
+        count += 1
+    assert count == (1500 if kind == "reports" else 2260)
+    assert h.hexdigest() == FROZEN_REPORT_DIGESTS[kind]
+
+
+def test_broken_corpus_has_every_violation():
+    seen = set()
+    for rep in frozen_outputs("reports"):
+        for v in rep["violations"]:
+            seen.update(k for k in VIOLATION_KINDS if k in v)
+            if "/" in v:
+                seen.add("off-grid")
+    assert seen == set(VIOLATION_KINDS) | {"off-grid"}
