@@ -11,9 +11,10 @@ drawings that meet them:
 * :func:`reduce_bends`   -- same width with at most 1 bend per edge, at
   the price of large (possibly exponential) coordinates.
 
-:func:`check_drawing` verifies the geometry of any drawing with exact
-rational arithmetic, and :mod:`uptree.oracle` re-derives the rank, rpw
-and pathwidth by brute force for cross-checking.
+:func:`check_drawing` verifies the geometry of any drawing exactly, in
+integer arithmetic with exact rationals only off the grid points, and
+:mod:`uptree.oracle` re-derives the rank, rpw and pathwidth by brute
+force for cross-checking.
 """
 
 from .layout import (

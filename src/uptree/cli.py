@@ -14,7 +14,11 @@ a file holding either, or as "-" for stdin.  Drawings are JSON only
 (inline, file, or stdin).  All JSON output uses sorted keys.
 
 Exit codes: 0 success; 1 a checked property failed (verify said no, or
-an oracle run disagreed) ; 2 bad usage or malformed input.
+an oracle run disagreed); 2 bad usage or malformed input: an unknown
+option or out-of-range argument, a tree that does not parse, a drawing
+whose JSON is malformed or that does not describe the tree; 3 an
+internal error, reported as "uptree: internal error: ..." after its
+traceback.
 
 The oracle subcommands refuse sizes beyond a cap (they enumerate whole
 tree families).  Set UPTREE_ORACLE_CAP to raise the ceiling when you
@@ -45,6 +49,7 @@ from .oracle import (
 from .rank import rank, rank_witness_to_json
 from .render import render_ascii, render_svg
 from .tree import (
+    ParseError,
     gen_complete_binary,
     gen_hpd_family,
     gen_path,
@@ -55,7 +60,7 @@ from .tree import (
     tree_from_json,
     tree_to_json,
 )
-from .verify import check_drawing, extract_rank_witness
+from .verify import PROPERTIES, DrawingMismatch, check_drawing, extract_rank_witness
 from .widths import param_report
 
 __all__ = ["main"]
@@ -115,9 +120,13 @@ def _load_drawing(arg: str):
     if not text.startswith("{"):
         raise _UsageError("a drawing must be a JSON object")
     try:
-        return drawing_from_json(json.loads(text))
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise _UsageError(f"bad drawing JSON: {e}")
+    try:
+        return drawing_from_json(obj)
+    except ValueError as e:
+        raise _UsageError(str(e)) from e
 
 
 def _emit(obj: dict) -> None:
@@ -159,6 +168,9 @@ def _cmd_verify(args) -> int:
     require = tuple(s.strip() for s in args.require.split(",") if s.strip())
     if not require:
         raise _UsageError("--require must name at least one property")
+    for prop in require:
+        if prop not in PROPERTIES:
+            raise _UsageError(f"unknown property {prop!r}; choose from {PROPERTIES}")
     report = check_drawing(t, d, require=require)
     out = asdict(report)
     if args.witness:
@@ -168,17 +180,26 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+_FAMILIES = {
+    "path": gen_path,
+    "binary": gen_complete_binary,
+    "quintary": gen_quintary_family,
+    "hpd": gen_hpd_family,
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "path":
-        t = gen_path(args.k)
-    elif args.family == "binary":
-        t = gen_complete_binary(args.k)
-    elif args.family == "quintary":
-        t = gen_quintary_family(args.k)
-    elif args.family == "hpd":
-        t = gen_hpd_family(args.k)
-    else:
+    if args.family == "random":
+        if args.k < 1:
+            raise _UsageError("n must be >= 1")
+        if args.max_degree is not None and args.max_degree < 1:
+            raise _UsageError("--max-degree must be >= 1")
         t = gen_random_tree(args.k, seed=args.seed, max_degree=args.max_degree)
+    else:
+        try:
+            t = _FAMILIES[args.family](args.k)
+        except ValueError as e:  # the generators' only check: k out of range
+            raise _UsageError(str(e)) from e
     if args.json:
         _emit(tree_to_json(t))
     else:
@@ -199,6 +220,8 @@ def _cmd_oracle(args) -> int:
     if args.what == "rank":
         t = _load_tree(args.tree)
         _check_cap("--max-n", args.max_n, cap)
+        if t.n > args.max_n:
+            raise _UsageError(f"tree has {t.n} nodes, oracle cap is {args.max_n}")
         brute = rank_bruteforce(t, max_n=args.max_n)
         engine = rank(t).root_rank()
         _emit({"n": t.n, "rank_bruteforce": brute, "rank_engine": engine,
@@ -206,10 +229,16 @@ def _cmd_oracle(args) -> int:
         return 0 if brute == engine else 1
     if args.what == "nw":
         _check_cap("--n-max", args.n_max, cap)
-        _emit(min_nodes_for_rank(args.W, n_max=args.n_max).to_json())
+        try:
+            rec = min_nodes_for_rank(args.W, n_max=args.n_max)
+        except ValueError as e:  # its only checks: W and n_max out of range
+            raise _UsageError(str(e)) from e
+        _emit(rec.to_json())
         return 0
     # equivalence
     _check_cap("--max-n", args.max_n, cap)
+    if args.max_n < 1:
+        raise _UsageError("max_n must be >= 1")
     report = equivalence_suite(max_n=args.max_n, max_W=args.max_w)
     _emit(report)
     return 0 if report["agree"] else 1
@@ -220,9 +249,15 @@ def _cmd_render(args) -> int:
     if args.format == "svg":
         text = render_svg(d)
     else:
-        text = render_ascii(d)
+        try:
+            text = render_ascii(d)
+        except ValueError as e:  # its only check: the grid is too large
+            raise _UsageError(str(e)) from e
     if args.out is not None:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            raise _UsageError(f"cannot write {args.out!r}: {e}")
     else:
         sys.stdout.write(text)
     return 0
@@ -314,9 +349,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (_UsageError, ValueError) as e:  # ParseError, DrawingMismatch too
+    except (_UsageError, ParseError, DrawingMismatch) as e:
         print(f"uptree: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        import traceback  # only on this path: it costs every start-up ~2 ms
+
+        traceback.print_exc()
+        print(f"uptree: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -24,12 +24,13 @@ and flips rows to y-up, so layout runs in time linear in the output.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from typing import Optional
 
 from .rank import RankAnnotation, rank
-from .tree import Tree
+from .tree import Tree, _is_json_int
 from .widths import RpwAnnotation, rooted_pathwidth
 
 __all__ = [
@@ -417,17 +418,42 @@ def drawing_to_json(d: Drawing) -> dict:
     }
 
 
+_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def _json_int(v):
+    # int() would read true, 1.9 and "1" all as 1
+    if not _is_json_int(v):
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
+def _json_node(key: str) -> int:
+    if not (isinstance(key, str) and _DECIMAL.fullmatch(key)):
+        raise ValueError(f"position key {key!r} is not an integer")
+    return int(key)
+
+
 def drawing_from_json(obj) -> Drawing:
+    """Inverse of drawing_to_json.
+
+    Coordinates and edge ends must be JSON integers and position keys the
+    decimal text of an integer; anything else raises ValueError.
+    """
     if not isinstance(obj, dict):
         raise ValueError("drawing JSON must be an object")
     try:
         mode = obj["mode"]
-        pos = {int(u): (int(x), int(y)) for u, (x, y) in obj["positions"].items()}
+        pos = {
+            _json_node(u): (_json_int(x), _json_int(y))
+            for u, (x, y) in obj["positions"].items()
+        }
         edges = {
-            (int(e["from"]), int(e["to"])): [(int(x), int(y)) for x, y in e["points"]]
+            (_json_int(e["from"]), _json_int(e["to"])):
+                [(_json_int(x), _json_int(y)) for x, y in e["points"]]
             for e in obj["edges"]
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed drawing JSON: {exc}") from exc
     if mode not in ("unordered", "ordered3", "ordered1"):
         raise ValueError(f"unknown drawing mode {mode!r}")

@@ -211,8 +211,8 @@ def tree_to_json(t: Tree) -> dict:
     return {"root": t.root, "nodes": nodes}
 
 
-def _is_id(x) -> bool:
-    # JSON true and 1.0 compare equal to 1; neither may stand for node 1
+def _is_json_int(x) -> bool:
+    # JSON true and 1.0 compare equal to 1; neither may stand for 1
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -235,7 +235,7 @@ def tree_from_json(obj) -> Tree:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError("each node needs an 'id'", 0)
         nid = rec["id"]
-        if not _is_id(nid):
+        if not _is_json_int(nid):
             raise ParseError(f"node id {nid!r} is not an integer", 0)
         if nid in kids:
             raise ParseError(f"duplicate node id {nid}", 0)
@@ -243,13 +243,13 @@ def tree_from_json(obj) -> Tree:
         if not isinstance(cs, list):
             raise ParseError(f"children of {nid} must be a list", 0)
         for c in cs:
-            if not _is_id(c):
+            if not _is_json_int(c):
                 raise ParseError(f"child id {c!r} under {nid} is not an integer", 0)
         kids[nid] = cs
         if "label" in rec and rec["label"] is not None:
             labels_raw[nid] = str(rec["label"])
     root = obj["root"]
-    if not _is_id(root):
+    if not _is_json_int(root):
         raise ParseError(f"root {root!r} is not an integer", 0)
     if root not in kids:
         raise ParseError(f"root {root!r} is not among the nodes", 0)

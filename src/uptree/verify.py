@@ -3,7 +3,10 @@
 ``check_drawing`` re-derives every claimed property of a drawing from its
 coordinates alone: planarity, (strict) upwardness, order preservation,
 straight-lineness, plus width/height/bend statistics.  All geometry is
-exact -- integers and ``Fraction`` -- so the verdicts carry no epsilon.
+exact, so the verdicts carry no epsilon.  It is integer arithmetic: a
+segment meets a grid column at an ``int`` whenever that point is a grid
+point, departure slopes are compared by cross-multiplication, and only a
+crossing that falls between grid points becomes a ``Fraction``.
 
 Planarity is not tested pairwise.  Segments are swept through vertical
 strips between consecutive "interesting" x-coordinates: inside a strip
@@ -25,6 +28,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import chain
 from typing import Optional
 
 from .layout import Drawing, _prune
@@ -60,15 +65,6 @@ class VerifyReport:
     ok: bool
 
 
-def _dedup(pts):
-    out = [tuple(p) for p in pts[:1]]
-    for p in pts[1:]:
-        q = tuple(p)
-        if q != out[-1]:
-            out.append(q)
-    return out
-
-
 def _structural(t: Tree, d: Drawing):
     """Raise DrawingMismatch unless d is *about* t.
 
@@ -79,9 +75,10 @@ def _structural(t: Tree, d: Drawing):
         raise DrawingMismatch("drawing and tree disagree on node ids")
     pos = {}
     for u, p in d.pos.items():
-        if len(tuple(p)) != 2 or not all(isinstance(c, int) for c in p):
+        p = tuple(p)
+        if len(p) != 2 or not (isinstance(p[0], int) and isinstance(p[1], int)):
             raise DrawingMismatch(f"position of node {u} is not an integer pair")
-        pos[u] = tuple(p)
+        pos[u] = p
     want = {(t.parent(c), c) for c in range(1, t.n)}
     if set(d.edges) != want:
         missing = want - set(d.edges)
@@ -91,11 +88,14 @@ def _structural(t: Tree, d: Drawing):
     for key, pts in d.edges.items():
         if len(pts) < 2:
             raise DrawingMismatch(f"edge {key} has fewer than two points")
-        for p in pts:
-            if len(tuple(p)) != 2 or not all(isinstance(c, int) for c in p):
+        clean = []
+        for q in pts:
+            q = tuple(q)
+            if len(q) != 2 or not (isinstance(q[0], int) and isinstance(q[1], int)):
                 raise DrawingMismatch(f"edge {key} has a non-integer point")
+            if not clean or q != clean[-1]:
+                clean.append(q)
         p, c = key
-        clean = _dedup(pts)
         if clean[0] != pos[p] or clean[-1] != pos[c]:
             raise DrawingMismatch(f"edge {key} does not run from its parent to its child")
         lines[key] = clean
@@ -103,20 +103,41 @@ def _structural(t: Tree, d: Drawing):
 
 
 def _departure(lines, key):
-    """Direction class of the first segment: sortable clockwise key."""
+    """The first segment of an edge as a vector (dx, dy); None when it climbs."""
     pts = lines[key]
     if len(pts) < 2:
         return None
     dx = pts[1][0] - pts[0][0]
     dy = pts[1][1] - pts[0][1]
-    if dy > 0:
-        return None  # leaves upward; not classifiable
-    if dy == 0:
-        return (0, 0) if dx < 0 else (2, 0)
-    return (1, Fraction(dx, -dy))
+    return None if dy > 0 else (dx, dy)
 
 
-def _planarity(t, pos, lines, violations):
+def _clockwise(a, b):
+    """-1, 0 or 1 as departure a comes before, with or after b, clockwise.
+
+    Both vectors point into the closed lower half-plane, where the order
+    runs from level-left through straight down to level-right and the
+    sign of the cross product decides it; only the two level directions
+    are opposite, and there left comes first.
+    """
+    cross = a[0] * b[1] - a[1] * b[0]
+    if cross:
+        return -1 if cross > 0 else 1
+    if a[0] * b[0] + a[1] * b[1] > 0:
+        return 0
+    return -1 if a[0] < 0 else 1
+
+
+def _y_at(y1, dy, dx, dist):
+    """Exact y of a segment at `dist` columns right of its left end (dx > 0).
+
+    An int on a grid point; a Fraction only between grid points.
+    """
+    q, r = divmod(dy * dist, dx)
+    return y1 + q if not r else Fraction(y1 * dx + dy * dist, dx)
+
+
+def _planarity(pos, lines, violations):
     """Append planarity violations (at most a handful; we stop digging at
     the first few per category -- the report is a verdict, not a census)."""
     posmap = {}
@@ -126,7 +147,7 @@ def _planarity(t, pos, lines, violations):
             violations.append(f"planar: nodes {posmap[p]} and {u} share position {p}")
         else:
             posmap[p] = u
-    if any(v.startswith("planar:") for v in violations):
+    if len(posmap) < len(pos):
         return  # coordinates are junk; fine-grained sweep would mislabel
 
     segs = []  # (key, index, a, b)
@@ -172,20 +193,21 @@ def _planarity(t, pos, lines, violations):
     groups = {x: {} for x in walls}
     strips = [[] for _ in range(max(len(walls) - 1, 0))]
     for x1, x2, y1, y2, sid in nv:
-        slope = Fraction(y2 - y1, x2 - x1)
+        dx, dy = x2 - x1, y2 - y1
         i1 = bisect_left(walls, x1)
         i2 = bisect_left(walls, x2)
-        for k in range(i1, i2 + 1):
+        groups[x1].setdefault(y1, []).append((sid, True))
+        prev = y1
+        for k in range(i1 + 1, i2 + 1):
             x = walls[k]
-            y = y1 + slope * (x - x1)
-            groups[x].setdefault(y, []).append((sid, x == x1 or x == x2))
-            if k < i2:
-                ynext = y1 + slope * (walls[k + 1] - x1)
-                strips[k].append((y, ynext, sid))
+            y = _y_at(y1, dy, dx, x - x1)
+            groups[x].setdefault(y, []).append((sid, k == i2))
+            strips[k - 1].append((prev, y, sid))
+            prev = y
     for x, ivs in vert.items():
         for ylo, yhi, sid in ivs:
-            groups[x].setdefault(Fraction(ylo), []).append((sid, True))
-            groups[x].setdefault(Fraction(yhi), []).append((sid, True))
+            groups[x].setdefault(ylo, []).append((sid, True))
+            groups[x].setdefault(yhi, []).append((sid, True))
 
     # proper crossings inside a strip = strict inversion between the walls
     for k, cand in enumerate(strips):
@@ -222,27 +244,28 @@ def _planarity(t, pos, lines, violations):
         return (i == 0 and p == pts[0]) or (i == last[key] and p == pts[-1])
 
     for x in walls:
-        ivs = vert.get(x, [])
+        ivs = vert[x] if col_ok.get(x) else ()
         los = [iv[0] for iv in ivs]
         for y, members in groups[x].items():
+            grid = y.denominator == 1  # y is an int exactly on a grid point
             # a vertical interval swallowing this point joins as an interior member
-            if ivs and col_ok.get(x, True):
-                j = bisect_right(los, y) - 1
+            if ivs:
+                # an off-grid y lies strictly between its floor f and f + 1
+                f = y if grid else y.numerator // y.denominator
+                j = bisect_right(los, f) - 1
                 if j >= 0:
                     ylo, yhi, sid = ivs[j]
-                    if ylo < y < yhi:
+                    if (ylo < f or not grid) and f < yhi:
                         members = members + [(sid, False)]
-            node = None
-            if y.denominator == 1:
-                node = posmap.get((x, int(y)))
+            node = posmap.get((x, y)) if grid else None
             if node is not None:
                 for sid, is_end in members:
                     key = segs[sid][0]
                     if not is_end:
                         violations.append(f"planar: node {node} lies inside {name(sid)}")
                     elif node not in key:
-                        violations.append(f"planar: {name(sid)} touches node {node} at {(x, int(y))}")
-                    elif not is_terminal(sid, (x, int(y))):
+                        violations.append(f"planar: {name(sid)} touches node {node} at {(x, y)}")
+                    elif not is_terminal(sid, (x, y)):
                         violations.append(f"planar: edge {key} bends at node {node}")
             elif len(members) > 1:
                 if any(not is_end for _, is_end in members):
@@ -281,6 +304,11 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
         if prop not in PROPERTIES:
             raise ValueError(f"unknown property {prop!r}; choose from {PROPERTIES}")
     pos, lines = _structural(t, d)
+    return _check(t, pos, lines, require)
+
+
+def _check(t: Tree, pos, lines, require) -> VerifyReport:
+    """The body of check_drawing, on what _structural returned."""
     violations: list = []
 
     upward = True
@@ -295,7 +323,8 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
                 strictly = False
                 violations.append(f"strictly_upward: edge {key} runs level at y={a[1]}")
 
-    straight = all(len(_prune(pts)) == 2 for pts in lines.values()) if lines else True
+    kept = [len(_prune(pts)) for pts in lines.values()]
+    straight = all(k == 2 for k in kept)
     if not straight:
         violations.append("straight_line: some edge bends")
 
@@ -304,27 +333,22 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
         kids = t.children(v)
         if len(kids) < 2:
             continue
-        keys = [_departure(lines, (v, c)) for c in kids]
-        if any(k is None for k in keys):
+        dirs = [_departure(lines, (v, c)) for c in kids]
+        if None in dirs:
             ordered = False
             violations.append(f"order_preserving: an edge at node {v} leaves upward")
             continue
-        for a, b in zip(keys, keys[1:]):
-            if not a < b:
-                ordered = False
-                violations.append(f"order_preserving: children of node {v} appear out of order")
-                break
+        if any(_clockwise(a, b) >= 0 for a, b in zip(dirs, dirs[1:])):
+            ordered = False
+            violations.append(f"order_preserving: children of node {v} appear out of order")
 
     before = len(violations)
-    _planarity(t, pos, lines, violations)
+    _planarity(pos, lines, violations)
     planar = len(violations) == before
 
-    xs = [p[0] for p in pos.values()]
-    ys = {p[1] for p in pos.values()}
-    for pts in lines.values():
-        xs.extend(x for x, _ in pts)
-        ys.update(y for _, y in pts)
-    bends = max((len(_prune(pts)) - 2 for pts in lines.values()), default=0)
+    points = [*pos.values(), *chain.from_iterable(lines.values())]
+    xs = [x for x, _ in points]
+    ys = {y for _, y in points}
 
     report = VerifyReport(
         planar=planar,
@@ -334,7 +358,7 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
         straight_line=straight,
         width=max(xs) - min(xs) + 1,
         height=len(ys),
-        max_bends=max(bends, 0),
+        max_bends=max(max(kept, default=2) - 2, 0),
         violations=violations,
         ok=True,
     )
@@ -353,17 +377,15 @@ def reorder_children_by_drawing(t: Tree, d: Drawing):
     order = {}
     for v in range(t.n):
         kids = t.children(v)
-        keys = []
+        dirs = {}
         for c in kids:
-            k = _departure(lines, (v, c))
-            if k is None:
+            dirs[c] = _departure(lines, (v, c))
+            if dirs[c] is None:
                 raise ValueError(f"edge ({v}, {c}) leaves its parent upward")
-            keys.append((k, c))
-        keys.sort()
-        for (a, _), (b, _) in zip(keys, keys[1:]):
-            if a == b:
+        order[v] = sorted(kids, key=cmp_to_key(lambda a, b: _clockwise(dirs[a], dirs[b])))
+        for a, b in zip(order[v], order[v][1:]):
+            if _clockwise(dirs[a], dirs[b]) == 0:
                 raise ValueError(f"coincident edge directions at node {v}")
-        order[v] = [c for _, c in keys]
 
     mapping = {}
     trail = []
@@ -398,16 +420,14 @@ def extract_rank_witness(t: Tree, d: Drawing) -> Optional[RankWitness]:
     """
     if t.n < 2:
         return None
-    rep = check_drawing(t, d, require=("planar", "upward", "order_preserving"))
+    pos, lines = _structural(t, d)
+    rep = _check(t, pos, lines, ("planar", "upward", "order_preserving"))
     if not rep.ok:
         return None
-    pos, lines = _structural(t, d)
-    xs = [p[0] for p in pos.values()]
-    for pts in lines.values():
-        xs.extend(x for x, _ in pts)
+    # every node ends some edge, so the polylines span the whole drawing
     x0, y0 = pos[t.root]
-    W = max(xs) - min(xs) + 1
-    X = x0 - min(xs) + 1
+    W = rep.width
+    X = x0 - min(x for pts in lines.values() for x, _ in pts) + 1
 
     # nodes of each root subtree
     owner = {}
@@ -429,24 +449,20 @@ def extract_rank_witness(t: Tree, d: Drawing) -> Optional[RankWitness]:
 
     for u, (x, y) in pos.items():
         if u != t.root and x == x0:
-            touch(owner[u], Fraction(y), Fraction(y))
+            touch(owner[u], y, y)
     for (p, c), pts in lines.items():
         i = owner[c]
         for a, b in zip(pts, pts[1:]):
             if a[0] == b[0]:
                 if a[0] == x0:
-                    ya, yb = sorted((a[1], b[1]))
-                    if (x0, yb) == (x0, y0):
-                        # initial vertical run: open at the root point but
-                        # still reaching it; keep the sentinel top
-                        touch(i, Fraction(ya), Fraction(y0))
-                    else:
-                        touch(i, Fraction(ya), Fraction(yb))
+                    # a run down from the root keeps y0 as its top; a
+                    # slanted segment does not touch at the root point
+                    touch(i, min(a[1], b[1]), max(a[1], b[1]))
             else:
                 (x1, y1), (x2, y2) = (a, b) if a[0] < b[0] else (b, a)
                 if x1 <= x0 <= x2:
-                    y = y1 + Fraction(y2 - y1, x2 - x1) * (x0 - x1)
-                    if (x0, y) != (x0, Fraction(y0)):
+                    y = _y_at(y1, y2 - y1, x2 - x1, x0 - x1)
+                    if y != y0:
                         touch(i, y, y)
 
     big = frozenset(lo)

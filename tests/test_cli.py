@@ -158,6 +158,17 @@ def test_verify_bad_json_exit_2(capsys):
     assert code == 2
 
 
+def test_verify_non_integer_drawing_exits_2(capsys):
+    # read with int(), "1", 1.9 and 2.7 give a valid drawing of the tree
+    drawing = ('{"mode": "unordered", "positions": {"0": [2, 3], "1": ["1", 1], '
+               '"2": [3, 1.9]}, "edges": [{"from": 0, "to": 1, "points": [[2, 3], [1, 1]]}, '
+               '{"from": 0, "to": 2.7, "points": [[2, 3], [3, 1]]}]}')
+    code, out, err = run(capsys, "verify", "(()())", drawing)
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err
+
+
 def test_verify_unknown_property_exit_2(capsys):
     drawing = json.dumps(run_json(capsys, "draw", EXAMPLE))
     code, _, err = run(capsys, "verify", EXAMPLE, drawing,
@@ -275,6 +286,21 @@ def test_render_rejects_tree_text(capsys):
     code, _, err = run(capsys, "render", EXAMPLE)
     assert code == 2
     assert "JSON" in err
+
+
+# ------------------------------------------------------------ exit codes
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # a fault inside the library is not a usage error, whatever its type
+    def broken(t):
+        raise ValueError("boom")
+    monkeypatch.setattr("uptree.cli.param_report", broken)
+    code, out, err = run(capsys, "widths", EXAMPLE)
+    assert code == 3
+    assert out == ""
+    assert "uptree: internal error: ValueError: boom" in err
+    assert "Traceback" in err
 
 
 # ------------------------------------------------------------ entry point

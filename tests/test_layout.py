@@ -292,6 +292,33 @@ def test_from_json_rejects_garbage():
         drawing_from_json(bad)
 
 
+def _spoil(obj, where, value):
+    obj = json.loads(json.dumps(obj))
+    if where == "key":
+        obj["positions"][value] = obj["positions"].pop("1")
+    elif where == "coord":
+        obj["positions"]["1"][0] = value
+    elif where == "point":
+        obj["edges"][0]["points"][-1][1] = value
+    else:
+        obj["edges"][0][where] = value
+    return obj
+
+
+@pytest.mark.parametrize("where,value", [
+    ("coord", 1.9), ("coord", True), ("coord", "1"), ("coord", 1.0),
+    ("point", 2.5), ("point", False), ("from", 0.0), ("to", 1.7), ("to", "1"),
+    ("key", "01"), ("key", " 1"), ("key", "+1"),
+], ids=["coord-float", "coord-true", "coord-string", "coord-float-integral",
+        "point-float", "point-false", "from-float", "to-float", "to-string",
+        "key-leading-zero", "key-space", "key-plus"])
+def test_from_json_rejects_non_integers(where, value):
+    # int() would read every one of these as an integer
+    good = drawing_to_json(draw_ordered(parse_tree("(())")))
+    with pytest.raises(ValueError, match="not an integer"):
+        drawing_from_json(_spoil(good, where, value))
+
+
 # ------------------------------------------------------------ roundtrip
 
 
