@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -24,7 +26,9 @@ from uptree.tree import (
     gen_random_tree,
     parse_tree,
 )
-from uptree.widths import rooted_pathwidth
+from uptree.widths import heavy_path_depth, rooted_pathwidth
+
+from test_layout import frozen_corpus
 
 
 def push_to_corner(child_ranks, w: RankWitness) -> RankWitness:
@@ -141,6 +145,35 @@ def test_rank_keeps_corner_witnesses():
 def test_rank_prefers_left_witness():
     ann = rank(parse_tree("((()())()())"))  # child ranks 2,1,1
     assert ann.corner[0].side == "left"
+
+
+# SHA-256 over every annotation of the frozen layout corpus: per node rank,
+# every corner witness in insertion order, rpw and heavy child per node, and
+# hpd.  A rewrite of the annotation passes must leave it unchanged.
+FROZEN_ANNOTATIONS = "20c1637ffe5f3dd74bf2816beedd0d94c73ceedb7121cee0cc14326632e69f5d"
+
+
+def test_frozen_annotations():
+    h = hashlib.sha256()
+    count = 0
+    for t in frozen_corpus():
+        n = t.n
+        ann = rank(t)
+        rpw = rooted_pathwidth(t)
+        corners = [
+            (v, cw.side, cw.W, cw.Wprime, sorted(cw.sigma.items()))
+            for v, cw in ann.corner.items()
+        ]
+        h.update(json.dumps([
+            [ann.rank[v] for v in range(n)],
+            corners,
+            [rpw.rpw[v] for v in range(n)],
+            [rpw.heavy_child[v] for v in range(n)],
+            heavy_path_depth(t),
+        ]).encode())
+        count += 1
+    assert count == 2260
+    assert h.hexdigest() == FROZEN_ANNOTATIONS
 
 
 def test_validate_rank_witness_examples():
