@@ -438,7 +438,8 @@ def drawing_from_json(obj) -> Drawing:
     """Inverse of drawing_to_json.
 
     Coordinates and edge ends must be JSON integers and position keys the
-    decimal text of an integer; anything else raises ValueError.
+    decimal text of an integer, and no edge may be listed twice; anything
+    else raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("drawing JSON must be an object")
@@ -448,11 +449,12 @@ def drawing_from_json(obj) -> Drawing:
             _json_node(u): (_json_int(x), _json_int(y))
             for u, (x, y) in obj["positions"].items()
         }
-        edges = {
-            (_json_int(e["from"]), _json_int(e["to"])):
-                [(_json_int(x), _json_int(y)) for x, y in e["points"]]
-            for e in obj["edges"]
-        }
+        edges = {}
+        for e in obj["edges"]:
+            key = (_json_int(e["from"]), _json_int(e["to"]))
+            if key in edges:
+                raise ValueError(f"duplicate edge {key[0]} -> {key[1]}")
+            edges[key] = [(_json_int(x), _json_int(y)) for x, y in e["points"]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed drawing JSON: {exc}") from exc
     if mode not in ("unordered", "ordered3", "ordered1"):

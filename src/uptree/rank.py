@@ -82,9 +82,16 @@ class RankWitness:
 
 @dataclass(frozen=True)
 class RankAnnotation:
-    """Per-node rank, and a corner witness for every internal node."""
+    """Per-node rank, and a corner witness for every internal node.
 
-    rank: dict
+    ``rank`` is a list indexed by preorder id.  ``corner`` is a dict
+    keyed by the ids of internal nodes only, in bottom-up order; leaves
+    have no entry.  Nodes whose child-rank sequences are equal share one
+    ``CornerWitness`` object, so callers must treat witnesses, and their
+    ``sigma`` dicts, as read-only.
+    """
+
+    rank: list
     corner: dict
 
     def root_rank(self) -> int:
@@ -136,27 +143,31 @@ def rank(t: Tree) -> RankAnnotation:
 
     Bottom-up over preorder ids; each node costs O(degree), so O(n)
     total.  When both one-sided tests succeed the left witness is kept,
-    so repeated runs draw identically.
+    so repeated runs draw identically.  The witness, and with it the
+    rank (its W), depends only on the tuple of child ranks, so each
+    distinct tuple is scanned once and its witness shared.
     """
-    rk: dict = {}
+    children = t._children
+    rk = [1] * t.n
     corner: dict = {}
+    by_ranks: dict = {}
     for v in t.bottom_up():
-        kids = t.children(v)
+        kids = children[v]
         if not kids:
-            rk[v] = 1
             continue
-        ranks = [rk[c] for c in kids]
-        W = max(ranks)
-        res = _scan(ranks, W, "left")
-        if isinstance(res, TestFailure):
-            res = _scan(ranks, W, "right")
-        if isinstance(res, TestFailure):
-            # rank W+1, witness vacuous since all children have rank <= W
-            rk[v] = W + 1
-            corner[v] = CornerWitness("left", W + 1, W + 2, {})
-        else:
-            rk[v] = W
-            corner[v] = res
+        ranks = tuple([rk[c] for c in kids])
+        cw = by_ranks.get(ranks)
+        if cw is None:
+            W = max(ranks)
+            cw = _scan(ranks, W, "left")
+            if isinstance(cw, TestFailure):
+                cw = _scan(ranks, W, "right")
+            if isinstance(cw, TestFailure):
+                # rank W+1, witness vacuous since all children have rank <= W
+                cw = CornerWitness("left", W + 1, W + 2, {})
+            by_ranks[ranks] = cw
+        rk[v] = cw.W
+        corner[v] = cw
     return RankAnnotation(rank=rk, corner=corner)
 
 

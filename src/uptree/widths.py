@@ -27,10 +27,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RpwAnnotation:
-    """Per-node rooted pathwidth and chosen rpw-heaviest child."""
+    """Per-node rooted pathwidth and chosen rpw-heaviest child.
 
-    rpw: dict
-    heavy_child: dict
+    Both fields are lists indexed by preorder id; ``heavy_child`` is
+    ``None`` at leaves.
+    """
+
+    rpw: list
+    heavy_child: list
 
     def root_value(self) -> int:
         return self.rpw[0]
@@ -54,13 +58,12 @@ def rooted_pathwidth(t: Tree) -> RpwAnnotation:
     one), otherwise M + 1.  Ties for heavy child break leftmost so that
     repeated runs draw identically.
     """
-    rpw = {}
-    heavy = {}
+    children = t._children
+    rpw = [1] * t.n
+    heavy: list = [None] * t.n
     for v in t.bottom_up():
-        kids = t.children(v)
+        kids = children[v]
         if not kids:
-            rpw[v] = 1
-            heavy[v] = None
             continue
         best = 0
         count = 0
@@ -82,18 +85,28 @@ def heavy_path_depth(t: Tree) -> int:
     hpd(leaf) = 1; otherwise max over children c of hpd(c) plus 1 unless
     c is the size-heaviest child (leftmost on ties).
     """
+    children = t._children
     size = [1] * t.n
     hpd = [1] * t.n
     for v in t.bottom_up():
-        kids = t.children(v)
+        kids = children[v]
         if not kids:
             continue
         heaviest = kids[0]
+        most = size[heaviest]
+        total = 1
         for c in kids:
-            size[v] += size[c]
-            if size[c] > size[heaviest]:
-                heaviest = c
-        hpd[v] = max(hpd[c] + (0 if c == heaviest else 1) for c in kids)
+            s = size[c]
+            total += s
+            if s > most:
+                heaviest, most = c, s
+        size[v] = total
+        best = hpd[heaviest]
+        for c in kids:
+            h = hpd[c] + 1
+            if h > best and c != heaviest:
+                best = h
+        hpd[v] = best
     return hpd[0]
 
 

@@ -169,6 +169,19 @@ def test_verify_non_integer_drawing_exits_2(capsys):
     assert "not an integer" in err
 
 
+def test_verify_duplicate_edge_exits_2(capsys):
+    # edge 0 -> 1 listed bent, then straight: keeping only the last copy
+    # would judge a straight-line drawing that the file does not describe
+    drawing = ('{"mode": "unordered", "positions": {"0": [1, 3], "1": [1, 1], "2": [2, 2]}, '
+               '"edges": [{"from": 0, "to": 1, "points": [[1, 3], [2, 2], [1, 1]]}, '
+               '{"from": 0, "to": 1, "points": [[1, 3], [1, 1]]}, '
+               '{"from": 0, "to": 2, "points": [[1, 3], [2, 2]]}]}')
+    code, out, err = run(capsys, "verify", "(()())", drawing, "--require", "straight_line")
+    assert code == 2
+    assert out == ""
+    assert "duplicate edge" in err
+
+
 def test_verify_unknown_property_exit_2(capsys):
     drawing = json.dumps(run_json(capsys, "draw", EXAMPLE))
     code, _, err = run(capsys, "verify", EXAMPLE, drawing,

@@ -292,6 +292,14 @@ def test_from_json_rejects_garbage():
         drawing_from_json(bad)
 
 
+def test_from_json_rejects_duplicate_edge():
+    good = drawing_to_json(draw_unordered(parse_tree("(()())")))
+    straight = good["edges"][0]
+    bent = dict(straight, points=[straight["points"][0], [2, 2], straight["points"][-1]])
+    with pytest.raises(ValueError, match="duplicate edge 0 -> 1"):
+        drawing_from_json(dict(good, edges=[bent] + good["edges"]))
+
+
 def _spoil(obj, where, value):
     obj = json.loads(json.dumps(obj))
     if where == "key":

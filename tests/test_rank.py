@@ -21,6 +21,7 @@ from uptree.rank import test_left as left_scan
 from uptree.rank import test_right as right_scan
 from uptree.tree import (
     gen_complete_binary,
+    gen_hpd_family,
     gen_path,
     gen_quintary_family,
     gen_random_tree,
@@ -323,6 +324,78 @@ def test_stored_witnesses_validate(n, seed):
         cw = ann.corner[v]
         assert cw.W == ann.rank[v]
         assert validate_corner_witness(ranks, cw) == []
+
+
+def _has_left_corner(ranks):
+    # Read right to left from the last child of maximum rank W: a child of
+    # rank w - 1 takes the next chain value w - 1, a lower one waits in a
+    # gap, and a child of rank >= w leaves no slot.
+    w = max(ranks)
+    last = max(i for i, r in enumerate(ranks) if r == w)
+    for r in reversed(ranks[:last]):
+        if r >= w:
+            return False
+        if r == w - 1:
+            w -= 1
+    return True
+
+
+def reference_annotations(t):
+    """rank, rpw and heavy child per node, and hpd, straight from the recursions."""
+    n = t.n
+    rk, rpw, heavy = [1] * n, [1] * n, [None] * n
+    size, hpd = [1] * n, [1] * n
+    for v in range(n - 1, -1, -1):
+        kids = t.children(v)
+        if not kids:
+            continue
+        ranks = [rk[c] for c in kids]
+        corner = _has_left_corner(ranks) or _has_left_corner(ranks[::-1])
+        rk[v] = max(ranks) + (0 if corner else 1)
+        rs = [rpw[c] for c in kids]
+        top = max(rs)
+        rpw[v] = top if rs.count(top) == 1 else top + 1
+        heavy[v] = kids[rs.index(top)]
+        size[v] = 1 + sum(size[c] for c in kids)
+        big = max(kids, key=lambda c: size[c])  # leftmost on ties
+        hpd[v] = max(hpd[c] + (c != big) for c in kids)
+    return rk, rpw, heavy, hpd[0]
+
+
+# (tree, root rpw, root rank, hpd) as the paper's families give them; None
+# where no closed form is known.  The hpd family's root has children T_{i-1}
+# (rank 2) and a path (rank 1), so it keeps rank 2 at every level.
+LARGE_TREES = {
+    "path100000": (lambda: gen_path(100_000), 1, 1, 1),
+    "hpd16": (lambda: gen_hpd_family(16), 2, 2, 16),
+    "quintary7": (lambda: gen_quintary_family(7), 7, 13, None),
+    "random100000": (lambda: gen_random_tree(100_000, seed=2024), None, None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_TREES))
+def test_annotations_at_1e5(name):
+    make, rpw0, rank0, hpd0 = LARGE_TREES[name]
+    t = make()
+    ann = rank(t)
+    rann = rooted_pathwidth(t)
+    hpd = heavy_path_depth(t)
+    ref_rank, ref_rpw, ref_heavy, ref_hpd = reference_annotations(t)
+    assert ann.rank == ref_rank
+    assert rann.rpw == ref_rpw
+    assert rann.heavy_child == ref_heavy
+    assert hpd == ref_hpd
+    for v in range(t.n):
+        kids = t.children(v)
+        if not kids:
+            assert v not in ann.corner
+            continue
+        cw = ann.corner[v]
+        assert cw.W == ref_rank[v]
+        assert validate_corner_witness([ref_rank[c] for c in kids], cw) == []
+    for got, want in ((rann.root_value(), rpw0), (ann.root_rank(), rank0), (hpd, hpd0)):
+        if want is not None:
+            assert got == want
 
 
 @settings(max_examples=150, deadline=None)
