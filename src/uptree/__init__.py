@@ -27,7 +27,7 @@ from .layout import (
     layout_stats,
     reduce_bends,
 )
-from .rank import (
+from .ranking import (
     CornerWitness,
     RankAnnotation,
     RankWitness,

@@ -18,7 +18,8 @@ an oracle run disagreed); 2 bad usage or malformed input: an unknown
 option or out-of-range argument, a tree that does not parse, a drawing
 whose JSON is malformed or that does not describe the tree; 3 an
 internal error, reported as "uptree: internal error: ..." after its
-traceback.
+traceback; 141 the reader closed stdout early (``uptree ... | head``),
+the code a shell gives a filter killed by a closed pipe.
 
 The oracle subcommands refuse sizes beyond a cap (they enumerate whole
 tree families).  Set UPTREE_ORACLE_CAP to raise the ceiling when you
@@ -46,7 +47,7 @@ from .oracle import (
     pathwidth_oracle,
     rank_bruteforce,
 )
-from .rank import rank, rank_witness_to_json
+from .ranking import rank, rank_witness_to_json
 from .render import render_ascii, render_svg
 from .tree import (
     ParseError,
@@ -60,7 +61,7 @@ from .tree import (
     tree_from_json,
     tree_to_json,
 )
-from .verify import PROPERTIES, DrawingMismatch, check_drawing, extract_rank_witness
+from .verify import PROPERTIES, DrawingMismatch, _witness, check_drawing
 from .widths import param_report
 
 __all__ = ["main"]
@@ -105,13 +106,28 @@ def _read_source(arg: str) -> str:
     raise _UsageError(f"{arg!r} is neither inline tree/drawing text nor a file")
 
 
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
+def _load_json(text: str, what: str):
+    """json.loads, except that a key repeated in one object is an error:
+    keeping only its last value would judge input other than the user's."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as e:  # json.JSONDecodeError is one
+        raise _UsageError(f"bad {what} JSON: {e}")
+
+
 def _load_tree(arg: str):
     text = _read_source(arg).strip()
     if text.startswith("{"):
-        try:
-            return tree_from_json(json.loads(text))
-        except json.JSONDecodeError as e:
-            raise _UsageError(f"bad tree JSON: {e}")
+        return tree_from_json(_load_json(text, "tree"))
     return parse_tree(text)
 
 
@@ -120,11 +136,7 @@ def _load_drawing(arg: str):
     if not text.startswith("{"):
         raise _UsageError("a drawing must be a JSON object")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise _UsageError(f"bad drawing JSON: {e}")
-    try:
-        return drawing_from_json(obj)
+        return drawing_from_json(_load_json(text, "drawing"))
     except ValueError as e:
         raise _UsageError(str(e)) from e
 
@@ -174,7 +186,7 @@ def _cmd_verify(args) -> int:
     report = check_drawing(t, d, require=require)
     out = asdict(report)
     if args.witness:
-        w = extract_rank_witness(t, d)
+        w = _witness(t, d, report)
         out["witness"] = None if w is None else rank_witness_to_json(w)
     _emit(out)
     return 0 if report.ok else 1
@@ -348,7 +360,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at exit has nowhere left to fail
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (_UsageError, ParseError, DrawingMismatch) as e:
         print(f"uptree: {e}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ Three constructions, all strictly upward and planar:
   the rpw-heaviest child flush under its parent).
 * ``draw_ordered`` -- order-preserving poly-line of width = rank, at most
   3 bends per edge, height at most 2n-1.  Built from the corner witness
-  stored by :func:`uptree.rank.rank`.
+  stored by :func:`uptree.ranking.rank`.
 * ``reduce_bends`` -- order-preserving rebuild with at most 1 bend per
   edge and the same width; rows are spread out (exponentially in the
   worst case) to buy the missing bends, so only the *number* of occupied
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from typing import Optional
 
-from .rank import RankAnnotation, rank
+from .ranking import RankAnnotation, rank
 from .tree import Tree, _is_json_int
 from .widths import RpwAnnotation, rooted_pathwidth
 
@@ -438,8 +438,8 @@ def drawing_from_json(obj) -> Drawing:
     """Inverse of drawing_to_json.
 
     Coordinates and edge ends must be JSON integers and position keys the
-    decimal text of an integer, and no edge may be listed twice; anything
-    else raises ValueError.
+    decimal text of an integer, there must be at least one node, and no
+    edge may be listed twice; anything else raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("drawing JSON must be an object")
@@ -455,6 +455,8 @@ def drawing_from_json(obj) -> Drawing:
             if key in edges:
                 raise ValueError(f"duplicate edge {key[0]} -> {key[1]}")
             edges[key] = [(_json_int(x), _json_int(y)) for x, y in e["points"]]
+        if not pos:
+            raise ValueError("a drawing needs at least one node")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed drawing JSON: {exc}") from exc
     if mode not in ("unordered", "ordered3", "ordered1"):

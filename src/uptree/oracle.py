@@ -15,7 +15,7 @@ implementations elsewhere have something independent to disagree with:
   "a width-W witness exists" agree on every small tree.
 
 The brute-force paths never call the linear-time engines in
-:mod:`uptree.rank` or :mod:`uptree.widths`; the only import of the rank
+:mod:`uptree.ranking` or :mod:`uptree.widths`; the only import of the rank
 engine lives inside ``equivalence_suite``, where the scans are the thing
 being tested.  Memo tables live for one call of a public function, so a
 long-lived process keeps none of them.
@@ -417,7 +417,7 @@ def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
     * ``witness``        -- some width-W witness exists (brute),
     * ``corner_X``       -- one exists with X in {1, W},
     * ``corner_v``       -- one exists with v in {1, d},
-    * ``scan``           -- test_left or test_right succeeds,
+    * ``scan``           -- ``corner_scan`` succeeds on the left or right,
     * ``corner_witness`` -- a left or right corner witness exists (brute).
 
     All five must agree everywhere; any disagreement lands in the report,
@@ -426,7 +426,7 @@ def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     # the one deliberate contact with the engine: the scans are the subject
-    from .rank import CornerWitness, test_left, test_right
+    from .ranking import CornerWitness, corner_scan
 
     memo: dict = {}
     trees = 0
@@ -443,8 +443,8 @@ def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
                     "witness": rank_witness_exists_brute(ranks, W),
                     "corner_X": rank_witness_exists_brute(ranks, W, restrict="corner_X"),
                     "corner_v": rank_witness_exists_brute(ranks, W, restrict="corner_v"),
-                    "scan": isinstance(test_left(ranks, W), CornerWitness)
-                    or isinstance(test_right(ranks, W), CornerWitness),
+                    "scan": isinstance(corner_scan(ranks, W, "left"), CornerWitness)
+                    or isinstance(corner_scan(ranks, W, "right"), CornerWitness),
                     "corner_witness": corner_witness_exists_brute(ranks, W, "left")
                     or corner_witness_exists_brute(ranks, W, "right"),
                 }

@@ -3,9 +3,9 @@
 The rank equals the optimum width of an order-preserving strictly-upward
 poly-line drawing.  It is computed bottom-up in linear time: a node whose
 children have maximum rank W either admits a corner-W-witness and gets
-rank W, or gets rank W + 1 with the vacuous witness.  ``test_left`` and
-``test_right`` look for the witness with one shared scan of the child
-ranks; a right witness is a left one on the mirrored child order.
+rank W, or gets rank W + 1 with the vacuous witness.  ``corner_scan``
+looks for the witness in one pass over the child ranks; a right witness
+is a left one on the mirrored child order.
 
 Two witness kinds appear throughout:
 
@@ -32,11 +32,10 @@ from .tree import Tree
 
 __all__ = [
     "CornerWitness",
-    "TestFailure",
+    "ScanFailure",
     "RankWitness",
     "RankAnnotation",
-    "test_left",
-    "test_right",
+    "corner_scan",
     "rank",
     "validate_rank_witness",
     "validate_corner_witness",
@@ -63,7 +62,7 @@ class CornerWitness:
 
 
 @dataclass(frozen=True)
-class TestFailure:
+class ScanFailure:
     """Where and why a corner-witness scan gave up."""
 
     index: int  # 1-based child index at which the scan failed
@@ -98,31 +97,22 @@ class RankAnnotation:
         return self.rank[0]
 
 
-def test_left(child_ranks: Sequence[int], W: int) -> Union[CornerWitness, TestFailure]:
-    """Scan for a left-corner-W-witness, right to left.
+def corner_scan(child_ranks: Sequence[int], W: int, side: str) -> Union[CornerWitness, ScanFailure]:
+    """A left or right (`side`) corner-W-witness, or a ScanFailure value.
 
-    Returns the witness on success, a TestFailure (a value, not an
-    exception) otherwise.  Runs in one pass over the child ranks.
+    The scan walks away from the witness's corner: c_d down to c_1 for a
+    left witness, c_1 up to c_d for a right one.  A child of rank w - 1
+    takes the next chain slot, lower ranks fill the gap before it, and
+    anything higher leaves no slot.  With no rank-W child at all the
+    loop ends with w = W + 1, the vacuous witness.
     """
-    return _scan(child_ranks, W, "left")
-
-
-def test_right(child_ranks: Sequence[int], W: int) -> Union[CornerWitness, TestFailure]:
-    """Mirror scan for a right-corner-W-witness, left to right."""
-    return _scan(child_ranks, W, "right")
-
-
-def _scan(child_ranks: Sequence[int], W: int, side: str) -> Union[CornerWitness, TestFailure]:
-    # Walk away from the witness's corner: c_d down to c_1 for a left
-    # witness, c_1 up to c_d for a right one.  A child of rank w - 1
-    # takes the next chain slot, lower ranks fill the gap before it, and
-    # anything higher leaves no slot.  With no rank-W child at all the
-    # loop ends with w = W + 1, the vacuous witness.
     d = len(child_ranks)
     if d < 1:
         raise ValueError("need at least one child rank")
     if W < 1:
         raise ValueError("W must be >= 1")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     sigma: dict = {}
     w = W + 1
     for i in range(d, 0, -1) if side == "left" else range(1, d + 1):
@@ -131,8 +121,8 @@ def _scan(child_ranks: Sequence[int], W: int, side: str) -> Union[CornerWitness,
             continue
         if r >= w:
             if not sigma:
-                return TestFailure(i, W, f"child {i} has rank {r} > W")
-            return TestFailure(i, w, f"child {i} has rank {r} >= {w}, no slot left")
+                return ScanFailure(i, W, f"child {i} has rank {r} > W")
+            return ScanFailure(i, w, f"child {i} has rank {r} >= {w}, no slot left")
         w -= 1
         sigma[w] = i
     return CornerWitness(side, W, w, sigma)
@@ -159,10 +149,10 @@ def rank(t: Tree) -> RankAnnotation:
         cw = by_ranks.get(ranks)
         if cw is None:
             W = max(ranks)
-            cw = _scan(ranks, W, "left")
-            if isinstance(cw, TestFailure):
-                cw = _scan(ranks, W, "right")
-            if isinstance(cw, TestFailure):
+            cw = corner_scan(ranks, W, "left")
+            if isinstance(cw, ScanFailure):
+                cw = corner_scan(ranks, W, "right")
+            if isinstance(cw, ScanFailure):
                 # rank W+1, witness vacuous since all children have rank <= W
                 cw = CornerWitness("left", W + 1, W + 2, {})
             by_ranks[ranks] = cw

@@ -33,7 +33,7 @@ from itertools import chain
 from typing import Optional
 
 from .layout import Drawing, _prune
-from .rank import RankWitness, rank, validate_rank_witness
+from .ranking import RankWitness, rank, validate_rank_witness
 from .tree import Tree
 
 __all__ = [
@@ -304,15 +304,9 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
         if prop not in PROPERTIES:
             raise ValueError(f"unknown property {prop!r}; choose from {PROPERTIES}")
     pos, lines = _structural(t, d)
-    return _check(t, pos, lines, require)
-
-
-def _check(t: Tree, pos, lines, require) -> VerifyReport:
-    """The body of check_drawing, on what _structural returned."""
     violations: list = []
 
-    upward = True
-    strictly = True
+    upward = strictly = True
     for key, pts in lines.items():
         for a, b in zip(pts, pts[1:]):
             if b[1] > a[1]:
@@ -418,21 +412,20 @@ def extract_rank_witness(t: Tree, d: Drawing) -> Optional[RankWitness]:
     first.  Returns None when the drawing fails the precheck or the
     resulting witness does not validate.
     """
-    if t.n < 2:
-        return None
-    pos, lines = _structural(t, d)
-    rep = _check(t, pos, lines, ("planar", "upward", "order_preserving"))
-    if not rep.ok:
+    return _witness(t, d, check_drawing(t, d, ("planar", "upward", "order_preserving")))
+
+
+def _witness(t: Tree, d: Drawing, report: VerifyReport) -> Optional[RankWitness]:
+    """extract_rank_witness on the report that check_drawing gave for d."""
+    if t.n < 2 or not (report.planar and report.upward and report.order_preserving):
         return None
     # every node ends some edge, so the polylines span the whole drawing
-    x0, y0 = pos[t.root]
-    W = rep.width
-    X = x0 - min(x for pts in lines.values() for x, _ in pts) + 1
+    x0, y0 = d.pos[t.root]
+    W = report.width
+    X = x0 - min(p[0] for pts in d.edges.values() for p in pts) + 1
 
     # nodes of each root subtree
-    owner = {}
-    for i, c in enumerate(t.children(t.root), start=1):
-        owner[c] = i
+    owner = {c: i for i, c in enumerate(t.children(t.root), start=1)}
     for v in range(1, t.n):
         if v not in owner:
             owner[v] = owner[t.parent(v)]
@@ -441,20 +434,17 @@ def extract_rank_witness(t: Tree, d: Drawing) -> Optional[RankWitness]:
     hi: dict = {}
 
     def touch(i, ylo, yhi):
-        if i in lo:
-            lo[i] = min(lo[i], ylo)
-            hi[i] = max(hi[i], yhi)
-        else:
-            lo[i], hi[i] = ylo, yhi
+        lo[i] = min(lo.get(i, ylo), ylo)
+        hi[i] = max(hi.get(i, yhi), yhi)
 
-    for u, (x, y) in pos.items():
-        if u != t.root and x == x0:
-            touch(owner[u], y, y)
-    for (p, c), pts in lines.items():
+    # a node in the root's column ends its parent edge there, so the
+    # edges alone find every touch
+    for (p, c), pts in d.edges.items():
         i = owner[c]
         for a, b in zip(pts, pts[1:]):
             if a[0] == b[0]:
-                if a[0] == x0:
+                # a repeated point is no segment, least of all at the root
+                if a[0] == x0 and a[1] != b[1]:
                     # a run down from the root keeps y0 as its top; a
                     # slanted segment does not touch at the root point
                     touch(i, min(a[1], b[1]), max(a[1], b[1]))
@@ -468,11 +458,8 @@ def extract_rank_witness(t: Tree, d: Drawing) -> Optional[RankWitness]:
     big = frozenset(lo)
     if not big:
         return None
-    v = max(big, key=lambda i: hi[i])
-    bounds = {}
-    for k, i in enumerate(sorted(big, key=lambda i: lo[i])):
-        bounds[i] = W - k
-    w = RankWitness(W=W, X=X, v=v, big=big, rank_bounds=bounds)
+    bounds = {i: W - k for k, i in enumerate(sorted(big, key=lo.get))}
+    w = RankWitness(W=W, X=X, v=max(big, key=hi.get), big=big, rank_bounds=bounds)
     ranks = rank(t).rank
     child_ranks = [ranks[c] for c in t.children(t.root)]
     if validate_rank_witness(child_ranks, w):

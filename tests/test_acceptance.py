@@ -19,7 +19,7 @@ from uptree.oracle import (
     pathwidth_oracle,
     rank_bruteforce,
 )
-from uptree.rank import rank
+from uptree.ranking import rank
 from uptree.tree import (
     gen_complete_binary,
     gen_hpd_family,

@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 
 import uptree
+import uptree.verify as verify
 from uptree.cli import main
+from uptree.layout import Drawing
+from uptree.ranking import rank_witness_to_json
+from uptree.tree import gen_path, parse_tree, serialize_tree
 
 EXAMPLE = "(()()(()()))"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -95,6 +99,14 @@ def test_widths_json_non_integer_id_exits_2(capsys, blob):
     assert code == 2
     assert out == ""
     assert "not an integer" in err
+
+
+def test_widths_duplicate_json_key_exits_2(capsys):
+    blob = ('{"root": 0, "nodes": [{"id": 0, "children": [1], "children": [1, 2]}, '
+            '{"id": 1}, {"id": 2}]}')
+    code, out, err = run(capsys, "widths", blob)
+    assert (code, out) == (2, "")
+    assert "bad tree JSON: duplicate key 'children'" in err
 
 
 # ------------------------------------------------------------------ draw
@@ -187,6 +199,50 @@ def test_verify_unknown_property_exit_2(capsys):
     code, _, err = run(capsys, "verify", EXAMPLE, drawing,
                        "--require", "planar,acyclic")
     assert code == 2
+
+
+def test_verify_duplicate_position_key_exits_2(capsys):
+    # node "1" listed twice: keeping the last copy judges a valid drawing
+    drawing = ('{"mode": "unordered", "positions": {"0": [1, 3], "1": [5, 9], "1": [1, 1], '
+               '"2": [2, 2]}, "edges": [{"from": 0, "to": 1, "points": [[1, 3], [1, 1]]}, '
+               '{"from": 0, "to": 2, "points": [[1, 3], [2, 2]]}]}')
+    code, out, err = run(capsys, "verify", "(()())", drawing)
+    assert (code, out) == (2, "")
+    assert "bad drawing JSON: duplicate key '1'" in err
+
+
+def _json_drawing(obj):
+    """The drawing JSON as the library's Drawing, its points kept as lists."""
+    return Drawing(mode=obj["mode"],
+                   pos={int(u): p for u, p in obj["positions"].items()},
+                   edges={(e["from"], e["to"]): e["points"] for e in obj["edges"]})
+
+
+@pytest.mark.parametrize("tree,mode,repeat_root", [
+    ("()", "ordered3", False),
+    (EXAMPLE, "unordered", False),
+    (EXAMPLE, "ordered3", True),
+    ("(()()(()())()())", "ordered3", False),
+], ids=["n1", "unordered", "repeated-root-point", "list-points"])
+def test_verify_witness_checks_once(capsys, monkeypatch, tree, mode, repeat_root):
+    obj = run_json(capsys, "draw", tree, "--mode", mode)
+    if repeat_root:
+        for e in obj["edges"]:
+            if e["from"] == 0:
+                e["points"].insert(0, e["points"][0])
+    calls = {"_structural": 0, "_planarity": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(verify, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(verify, name, counted)
+    code, out, _ = run(capsys, "verify", tree, json.dumps(obj), "--witness")
+    assert code == 0
+    assert calls == {"_structural": 1, "_planarity": 1}
+    monkeypatch.undo()
+    w = verify.extract_rank_witness(parse_tree(tree), _json_drawing(obj))
+    assert (w is None) == (mode == "unordered" or tree == "()")
+    assert json.loads(out)["witness"] == (None if w is None else rank_witness_to_json(w))
 
 
 # ------------------------------------------------------------------- gen
@@ -295,6 +351,14 @@ def test_render_svg_to_file(capsys, tmp_path):
     assert target.read_text().startswith("<svg ")
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+def test_render_empty_drawing_exits_2(capsys, fmt):
+    code, out, err = run(capsys, "render", '{"mode": "unordered", "positions": {}, "edges": []}',
+                         "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "a drawing needs at least one node" in err
+
+
 def test_render_rejects_tree_text(capsys):
     code, _, err = run(capsys, "render", EXAMPLE)
     assert code == 2
@@ -319,12 +383,33 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 # ------------------------------------------------------------ entry point
 
 
-def run_child(argv):
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run(argv, capture_output=True, text=True, env=env,
+    return env
+
+
+def run_child(argv):
+    return subprocess.run(argv, capture_output=True, text=True, env=child_env(),
                           timeout=60)
+
+
+def test_closed_stdout_exits_141():
+    # `uptree draw ... | head -1`, with far more output than a pipe holds
+    draw = subprocess.Popen(
+        [sys.executable, "-m", "uptree.cli", "draw", serialize_tree(gen_path(3000)),
+         "--mode", "unordered"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    head = subprocess.run(["head", "-1"], stdin=draw.stdout, capture_output=True,
+                          text=True, timeout=60)
+    draw.stdout.close()
+    err = draw.stderr.read().decode()
+    draw.stderr.close()
+    assert draw.wait(timeout=60) == 141
+    assert head.stdout == "{\n"
+    for text in ("Traceback", "internal error", "Exception ignored"):
+        assert text not in err
 
 
 @pytest.mark.skipif(shutil.which("uptree") is None,

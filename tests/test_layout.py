@@ -18,7 +18,7 @@ from uptree.layout import (
     reduce_bends,
 )
 from uptree.oracle import enumerate_trees
-from uptree.rank import rank
+from uptree.ranking import rank
 from uptree.tree import (
     gen_complete_binary,
     gen_hpd_family,
@@ -298,6 +298,11 @@ def test_from_json_rejects_duplicate_edge():
     bent = dict(straight, points=[straight["points"][0], [2, 2], straight["points"][-1]])
     with pytest.raises(ValueError, match="duplicate edge 0 -> 1"):
         drawing_from_json(dict(good, edges=[bent] + good["edges"]))
+
+
+def test_from_json_rejects_empty_drawing():
+    with pytest.raises(ValueError, match="a drawing needs at least one node"):
+        drawing_from_json({"mode": "unordered", "positions": {}, "edges": []})
 
 
 def _spoil(obj, where, value):

@@ -16,9 +16,7 @@ from uptree.oracle import (
     rank_witness_exists_brute,
     rpw_path_oracle,
 )
-from uptree.rank import CornerWitness, rank
-from uptree.rank import test_left as left_scan
-from uptree.rank import test_right as right_scan
+from uptree.ranking import CornerWitness, corner_scan, rank
 from uptree.tree import (
     gen_complete_binary,
     gen_path,
@@ -90,8 +88,8 @@ def test_quintary_blocks_both_scans_below_its_rank():
         r = 2 * i - 3
         ranks = [r, r, r + 1, r, r]
         W = 2 * i - 2
-        assert not isinstance(left_scan(ranks, W), CornerWitness)
-        assert not isinstance(right_scan(ranks, W), CornerWitness)
+        assert not isinstance(corner_scan(ranks, W, "left"), CornerWitness)
+        assert not isinstance(corner_scan(ranks, W, "right"), CornerWitness)
         assert not rank_witness_exists_brute(ranks, W)
         assert rank_witness_exists_brute(ranks, W + 1)
 
@@ -133,8 +131,8 @@ def test_witness_exists_rejects_bad_input():
 def test_witness_112_at_w2():
     ranks = [1, 1, 2]
     assert rank_witness_exists_brute(ranks, 2)
-    assert isinstance(right_scan(ranks, 2), CornerWitness)
-    assert not isinstance(left_scan(ranks, 2), CornerWitness)
+    assert isinstance(corner_scan(ranks, 2, "right"), CornerWitness)
+    assert not isinstance(corner_scan(ranks, 2, "left"), CornerWitness)
 
 
 def _pi_by_matching(big_ranks, W):
@@ -173,8 +171,8 @@ def test_restrictions_do_not_change_existence(ranks, W):
 @settings(max_examples=200, deadline=None)
 @given(rank_lists, st.integers(1, 6))
 def test_scans_match_corner_brute(ranks, W):
-    scan = isinstance(left_scan(ranks, W), CornerWitness) or isinstance(
-        right_scan(ranks, W), CornerWitness
+    scan = isinstance(corner_scan(ranks, W, "left"), CornerWitness) or isinstance(
+        corner_scan(ranks, W, "right"), CornerWitness
     )
     brute = corner_witness_exists_brute(ranks, W, "left") or corner_witness_exists_brute(
         ranks, W, "right"

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uptree.rank import (
+from uptree.ranking import (
     CornerWitness,
     RankWitness,
+    ScanFailure,
+    corner_scan,
     rank,
     rank_witness_to_json,
     validate_corner_witness,
     validate_rank_witness,
 )
-from uptree.rank import TestFailure as ScanFailure
-from uptree.rank import test_left as left_scan
-from uptree.rank import test_right as right_scan
 from uptree.tree import (
     gen_complete_binary,
     gen_hpd_family,
@@ -65,47 +64,52 @@ def push_to_corner(child_ranks, w: RankWitness) -> RankWitness:
 
 
 def test_test_left_examples():
-    assert isinstance(left_scan([1, 1, 2], 2), ScanFailure)
-    ok = left_scan([1], 2)
+    assert isinstance(corner_scan([1, 1, 2], 2, "left"), ScanFailure)
+    ok = corner_scan([1], 2, "left")
     assert ok == CornerWitness("left", 2, 3, {})
     assert ok.is_vacuous()
-    ok2 = left_scan([2, 1, 1], 2)
+    ok2 = corner_scan([2, 1, 1], 2, "left")
     assert ok2 == CornerWitness("left", 2, 2, {2: 1})
 
 
 def test_test_right_examples():
-    ok = right_scan([1, 1, 2], 2)
+    ok = corner_scan([1, 1, 2], 2, "right")
     assert ok == CornerWitness("right", 2, 2, {2: 3})
-    assert isinstance(right_scan([2, 1, 1], 2), ScanFailure)
-    assert isinstance(right_scan([1, 1], 1), ScanFailure)
-    assert isinstance(left_scan([1, 1], 1), ScanFailure)
+    assert isinstance(corner_scan([2, 1, 1], 2, "right"), ScanFailure)
+    assert isinstance(corner_scan([1, 1], 1, "right"), ScanFailure)
+    assert isinstance(corner_scan([1, 1], 1, "left"), ScanFailure)
 
 
 def test_test_left_failure_carries_position():
-    bad = left_scan([1, 1, 2], 2)
+    bad = corner_scan([1, 1, 2], 2, "left")
     assert bad.index == 1
     assert bad.w == 1
-    bad2 = left_scan([3, 1], 2)
+    bad2 = corner_scan([3, 1], 2, "left")
     assert bad2.index == 1
     assert "rank 3" in bad2.reason
 
 
 def test_test_left_multilevel_sigma():
     # a full descending chain gets assigned all the way down to W' = 1
-    res = left_scan([1, 2, 3], 3)
+    res = corner_scan([1, 2, 3], 3, "left")
     assert res == CornerWitness("left", 3, 1, {3: 3, 2: 2, 1: 1})
     # but a second rank-1 child in front blocks the w = 1 slot
-    res1 = left_scan([1, 1, 2, 3], 3)
+    res1 = corner_scan([1, 1, 2, 3], 3, "left")
     assert isinstance(res1, ScanFailure)
     assert (res1.index, res1.w) == (1, 1)
-    res2 = left_scan([2, 3], 3)
+    res2 = corner_scan([2, 3], 3, "left")
     assert res2 == CornerWitness("left", 3, 2, {2: 1, 3: 2})
-    res3 = right_scan([3, 2], 3)
+    res3 = corner_scan([3, 2], 3, "right")
     assert res3 == CornerWitness("right", 3, 2, {3: 1, 2: 2})
 
 
+def test_corner_scan_rejects_unknown_side():
+    with pytest.raises(ValueError, match="side"):
+        corner_scan([1], 1, "up")
+
+
 def test_single_child_corner_at_w1():
-    res = left_scan([1], 1)
+    res = corner_scan([1], 1, "left")
     assert res == CornerWitness("left", 1, 1, {1: 1})
     assert validate_corner_witness([1], res) == []
 
@@ -223,7 +227,7 @@ def test_validate_corner_witness_right_side():
     assert any(p.startswith("C2") for p in short)
     full = CornerWitness("right", 3, 1, {3: 1, 2: 2, 1: 3})
     assert validate_corner_witness([3, 2, 1], full) == []
-    assert right_scan([3, 2, 1], 3) == full
+    assert corner_scan([3, 2, 1], 3, "right") == full
 
 
 def test_validate_corner_witness_malformed():
@@ -404,10 +408,10 @@ def test_annotations_at_1e5(name):
     st.integers(1, 6),
 )
 def test_left_success_yields_valid_witness(ranks, W):
-    res = left_scan(ranks, W)
+    res = corner_scan(ranks, W, "left")
     if isinstance(res, CornerWitness):
         assert validate_corner_witness(ranks, res) == []
-    res_r = right_scan(ranks, W)
+    res_r = corner_scan(ranks, W, "right")
     if isinstance(res_r, CornerWitness):
         assert validate_corner_witness(ranks, res_r) == []
 
@@ -421,8 +425,8 @@ def test_right_scan_mirrors_left_scan(ranks, W):
     # a right witness is a left witness on the reversed child order, with
     # every child index i read as d + 1 - i
     d = len(ranks)
-    right = right_scan(ranks, W)
-    left = left_scan(ranks[::-1], W)
+    right = corner_scan(ranks, W, "right")
+    left = corner_scan(ranks[::-1], W, "left")
     assert type(right) is type(left)
     if isinstance(left, CornerWitness):
         assert right == CornerWitness(

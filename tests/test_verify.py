@@ -19,7 +19,7 @@ from uptree.layout import (
     layout_stats,
     reduce_bends,
 )
-from uptree.rank import rank, rank_witness_to_json, validate_rank_witness
+from uptree.ranking import rank, rank_witness_to_json, validate_rank_witness
 from uptree.tree import (
     gen_complete_binary,
     gen_path,
@@ -345,6 +345,23 @@ def test_extraction_frozen_value():
     assert (w.W, w.X, w.v) == (3, 1, 1)
     assert w.big == frozenset({1, 2})
     assert w.rank_bounds == {1: 2, 2: 3}
+
+
+def test_extraction_reads_repeated_and_list_points_alike():
+    # a repeated point, the root's above all, adds no segment, and a point
+    # given as a list is the same point as the tuple
+    for t in tree_pool():
+        if t.n < 2:
+            continue
+        d = draw_ordered(t)
+        w = extract_rank_witness(t, d)
+        doubled = Drawing(mode=d.mode, pos=dict(d.pos), edges={
+            k: [p for p in pts for _ in range(2)] for k, pts in d.edges.items()})
+        lists = Drawing(mode=d.mode, pos={u: list(p) for u, p in d.pos.items()},
+                        edges={k: [list(p) for p in pts] for k, pts in d.edges.items()})
+        assert w is not None
+        assert extract_rank_witness(t, doubled) == w
+        assert extract_rank_witness(t, lists) == w
 
 
 def test_extraction_single_node_is_none():
