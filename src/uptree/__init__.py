@@ -15,6 +15,10 @@ drawings that meet them:
 integer arithmetic with exact rationals only off the grid points, and
 :mod:`uptree.oracle` re-derives the rank, rpw and pathwidth by brute
 force for cross-checking.
+
+Bad input where the library checks it -- malformed tree text or JSON,
+a drawing that does not describe its tree, a size or range argument out
+of bounds -- raises :class:`InputError`, a ``ValueError``.
 """
 
 from .layout import (
@@ -25,6 +29,7 @@ from .layout import (
     drawing_from_json,
     drawing_to_json,
     layout_stats,
+    prune_collinear,
     reduce_bends,
 )
 from .ranking import (
@@ -36,6 +41,7 @@ from .ranking import (
     validate_rank_witness,
 )
 from .tree import (
+    InputError,
     ParseError,
     Tree,
     gen_complete_binary,
@@ -61,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tree",
+    "InputError",
     "ParseError",
     "parse_tree",
     "serialize_tree",
@@ -86,6 +93,7 @@ __all__ = [
     "draw_unordered",
     "draw_ordered",
     "reduce_bends",
+    "prune_collinear",
     "layout_stats",
     "drawing_to_json",
     "drawing_from_json",

@@ -14,16 +14,18 @@ a file holding either, or as "-" for stdin.  Drawings are JSON only
 (inline, file, or stdin).  All JSON output uses sorted keys.
 
 Exit codes: 0 success; 1 a checked property failed (verify said no, or
-an oracle run disagreed); 2 bad usage or malformed input: an unknown
-option or out-of-range argument, a tree that does not parse, a drawing
-whose JSON is malformed or that does not describe the tree; 3 an
-internal error, reported as "uptree: internal error: ..." after its
+an oracle run disagreed); 2 bad usage (argparse's errors) or bad input,
+which is exactly an ``uptree.InputError``: the library raises it where
+it checks its input, and so does this module for files and JSON text; 3
+an internal error, reported as "uptree: internal error: ..." after its
 traceback; 141 the reader closed stdout early (``uptree ... | head``),
 the code a shell gives a filter killed by a closed pipe.
 
-The oracle subcommands refuse sizes beyond a cap (they enumerate whole
-tree families).  Set UPTREE_ORACLE_CAP to raise the ceiling when you
-have the patience for it.
+``widths --pw`` and ``oracle`` run the exhaustive oracles at their
+library defaults and exit 2 past their size caps; the CLI has no cap
+flag or environment variable of its own.  A bigger exhaustive run calls
+the library with ``max_n=``.  ``draw --prune-collinear`` applies
+``layout.prune_collinear`` to the drawing of any mode.
 """
 
 import argparse
@@ -39,6 +41,7 @@ from .layout import (
     drawing_from_json,
     drawing_to_json,
     layout_stats,
+    prune_collinear,
     reduce_bends,
 )
 from .oracle import (
@@ -50,7 +53,7 @@ from .oracle import (
 from .ranking import rank, rank_witness_to_json
 from .render import render_ascii, render_svg
 from .tree import (
-    ParseError,
+    InputError,
     gen_complete_binary,
     gen_hpd_family,
     gen_path,
@@ -61,49 +64,31 @@ from .tree import (
     tree_from_json,
     tree_to_json,
 )
-from .verify import PROPERTIES, DrawingMismatch, _witness, check_drawing
+from .verify import _witness, check_drawing
 from .widths import param_report
 
 __all__ = ["main"]
-
-_DEFAULT_ORACLE_CAP = 15
-
-
-class _UsageError(Exception):
-    """Input the CLI could not make sense of; maps to exit code 2."""
-
-
-def _oracle_cap() -> int:
-    raw = os.environ.get("UPTREE_ORACLE_CAP")
-    if raw is None:
-        return _DEFAULT_ORACLE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"UPTREE_ORACLE_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise _UsageError("UPTREE_ORACLE_CAP must be >= 1")
-    return cap
 
 
 def _read_source(arg: str) -> str:
     """Resolve a tree/drawing argument to raw text.
 
     "-" reads stdin; text starting with "(" or "{" is taken inline;
-    anything else must be a readable file path.
+    anything else must be a readable file path.  Text that is not UTF-8
+    is bad input.
     """
-    if arg == "-":
-        return sys.stdin.read()
     stripped = arg.strip()
     if stripped.startswith("(") or stripped.startswith("{"):
         return arg
-    p = Path(arg)
     try:
+        if arg == "-":
+            return sys.stdin.read()
+        p = Path(arg)
         if p.is_file():
             return p.read_text()
-    except OSError as e:
-        raise _UsageError(f"cannot read {arg!r}: {e}")
-    raise _UsageError(f"{arg!r} is neither inline tree/drawing text nor a file")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {arg!r}: {e}")
+    raise InputError(f"{arg!r} is neither inline tree/drawing text nor a file")
 
 
 def _unique_keys(pairs):
@@ -117,11 +102,14 @@ def _unique_keys(pairs):
 
 def _load_json(text: str, what: str):
     """json.loads, except that a key repeated in one object is an error:
-    keeping only its last value would judge input other than the user's."""
+    keeping only its last value would judge input other than the user's.
+    Nesting deeper than the decoder's recursion is bad input too."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as e:  # json.JSONDecodeError is one
-        raise _UsageError(f"bad {what} JSON: {e}")
+        raise InputError(f"bad {what} JSON: {e}")
+    except RecursionError:
+        raise InputError(f"bad {what} JSON: nested too deeply")
 
 
 def _load_tree(arg: str):
@@ -134,11 +122,8 @@ def _load_tree(arg: str):
 def _load_drawing(arg: str):
     text = _read_source(arg).strip()
     if not text.startswith("{"):
-        raise _UsageError("a drawing must be a JSON object")
-    try:
-        return drawing_from_json(_load_json(text, "drawing"))
-    except ValueError as e:
-        raise _UsageError(str(e)) from e
+        raise InputError("a drawing must be a JSON object")
+    return drawing_from_json(_load_json(text, "drawing"))
 
 
 def _emit(obj: dict) -> None:
@@ -147,13 +132,9 @@ def _emit(obj: dict) -> None:
 
 def _cmd_widths(args) -> int:
     t = _load_tree(args.tree)
-    if args.pw and t.n > args.pw_cap:
-        raise _UsageError(
-            f"--pw enumerates layouts and is capped at n <= {args.pw_cap}; got n={t.n}"
-        )
     out = param_report(t).to_json()
     if args.pw:
-        out["pw"] = pathwidth_oracle(t, max_n=args.pw_cap)
+        out["pw"] = pathwidth_oracle(t)
     out["rank"] = rank(t).root_rank()
     _emit(out)
     return 0
@@ -164,9 +145,11 @@ def _cmd_draw(args) -> int:
     if args.mode == "unordered":
         d = draw_unordered(t)
     elif args.mode == "ordered3":
-        d = draw_ordered(t, prune_collinear=args.prune_collinear)
+        d = draw_ordered(t)
     else:
         d = reduce_bends(draw_ordered(t), t)
+    if args.prune_collinear:
+        d = prune_collinear(d)
     out = drawing_to_json(d)
     if args.stats:
         out["stats"] = asdict(layout_stats(d))
@@ -179,10 +162,7 @@ def _cmd_verify(args) -> int:
     d = _load_drawing(args.drawing)
     require = tuple(s.strip() for s in args.require.split(",") if s.strip())
     if not require:
-        raise _UsageError("--require must name at least one property")
-    for prop in require:
-        if prop not in PROPERTIES:
-            raise _UsageError(f"unknown property {prop!r}; choose from {PROPERTIES}")
+        raise InputError("--require must name at least one property")
     report = check_drawing(t, d, require=require)
     out = asdict(report)
     if args.witness:
@@ -202,16 +182,9 @@ _FAMILIES = {
 
 def _cmd_gen(args) -> int:
     if args.family == "random":
-        if args.k < 1:
-            raise _UsageError("n must be >= 1")
-        if args.max_degree is not None and args.max_degree < 1:
-            raise _UsageError("--max-degree must be >= 1")
         t = gen_random_tree(args.k, seed=args.seed, max_degree=args.max_degree)
     else:
-        try:
-            t = _FAMILIES[args.family](args.k)
-        except ValueError as e:  # the generators' only check: k out of range
-            raise _UsageError(str(e)) from e
+        t = _FAMILIES[args.family](args.k)
     if args.json:
         _emit(tree_to_json(t))
     else:
@@ -219,38 +192,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _check_cap(flag: str, value: int, cap: int) -> None:
-    if value > cap:
-        raise _UsageError(
-            f"{flag} {value} exceeds the oracle cap {cap} "
-            "(set UPTREE_ORACLE_CAP to raise it)"
-        )
-
-
 def _cmd_oracle(args) -> int:
-    cap = _oracle_cap()
     if args.what == "rank":
         t = _load_tree(args.tree)
-        _check_cap("--max-n", args.max_n, cap)
-        if t.n > args.max_n:
-            raise _UsageError(f"tree has {t.n} nodes, oracle cap is {args.max_n}")
-        brute = rank_bruteforce(t, max_n=args.max_n)
+        brute = rank_bruteforce(t)
         engine = rank(t).root_rank()
         _emit({"n": t.n, "rank_bruteforce": brute, "rank_engine": engine,
                "agree": brute == engine})
         return 0 if brute == engine else 1
     if args.what == "nw":
-        _check_cap("--n-max", args.n_max, cap)
-        try:
-            rec = min_nodes_for_rank(args.W, n_max=args.n_max)
-        except ValueError as e:  # its only checks: W and n_max out of range
-            raise _UsageError(str(e)) from e
-        _emit(rec.to_json())
+        _emit(min_nodes_for_rank(args.W, n_max=args.n_max).to_json())
         return 0
     # equivalence
-    _check_cap("--max-n", args.max_n, cap)
-    if args.max_n < 1:
-        raise _UsageError("max_n must be >= 1")
     report = equivalence_suite(max_n=args.max_n, max_W=args.max_w)
     _emit(report)
     return 0 if report["agree"] else 1
@@ -258,18 +211,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_render(args) -> int:
     d = _load_drawing(args.drawing)
-    if args.format == "svg":
-        text = render_svg(d)
-    else:
-        try:
-            text = render_ascii(d)
-        except ValueError as e:  # its only check: the grid is too large
-            raise _UsageError(str(e)) from e
+    text = render_svg(d) if args.format == "svg" else render_ascii(d)
     if args.out is not None:
         try:
             Path(args.out).write_text(text)
         except OSError as e:
-            raise _UsageError(f"cannot write {args.out!r}: {e}")
+            raise InputError(f"cannot write {args.out!r}: {e}")
     else:
         sys.stdout.write(text)
     return 0
@@ -286,8 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree", help="paren text, tree JSON, file path, or - for stdin")
     p.add_argument("--pw", action="store_true",
                    help="also compute unrooted pathwidth (slow, small n only)")
-    p.add_argument("--pw-cap", type=int, default=14,
-                   help="size limit for --pw (default 14)")
     p.set_defaults(fn=_cmd_widths)
 
     p = sub.add_parser("draw", help="compute a drawing, print drawing JSON")
@@ -297,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="unordered: width rpw, straight lines; ordered3: width "
                         "rank, <=3 bends; ordered1: width rank, <=1 bend")
     p.add_argument("--prune-collinear", action="store_true",
-                   help="drop bend points that lie on a straight segment")
+                   help="drop bend points that lie on a straight segment (any mode)")
     p.add_argument("--stats", action="store_true",
                    help="include width/height/bends in the output")
     p.set_defaults(fn=_cmd_draw)
@@ -329,8 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = osub.add_parser("rank", help="brute-force the rank, compare with the engine")
     q.add_argument("tree")
-    q.add_argument("--max-n", type=int, default=11,
-                   help="refuse trees larger than this (default 11)")
     q.set_defaults(fn=_cmd_oracle)
 
     q = osub.add_parser("nw", help="minimal node count reaching a given rank")
@@ -369,7 +312,7 @@ def main(argv=None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
-    except (_UsageError, ParseError, DrawingMismatch) as e:
+    except InputError as e:
         print(f"uptree: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -13,6 +13,10 @@ Three constructions, all strictly upward and planar:
   worst case) to buy the missing bends, so only the *number* of occupied
   rows stays small, not their span.
 
+The constructions emit bends even where a poly-line runs straight, so
+that each is uniform; ``prune_collinear`` drops those points from any
+drawing.
+
 Coordinates are integer (column, row) pairs with columns starting at 1
 and the root on the highest row.  Internally each node is assembled
 bottom-up into a frame in its own coordinates (row 0 at the top): its
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ranking import RankAnnotation, rank
-from .tree import Tree, _is_json_int
+from .tree import InputError, Tree, _is_json_int
 from .widths import RpwAnnotation, rooted_pathwidth
 
 __all__ = [
@@ -39,6 +43,7 @@ __all__ = [
     "draw_unordered",
     "draw_ordered",
     "reduce_bends",
+    "prune_collinear",
     "layout_stats",
     "drawing_to_json",
     "drawing_from_json",
@@ -319,9 +324,7 @@ def _build_ordered(t: Tree, ann: RankAnnotation, assemble) -> list:
     return frames
 
 
-def draw_ordered(
-    t: Tree, ann: Optional[RankAnnotation] = None, prune_collinear: bool = False
-) -> Drawing:
+def draw_ordered(t: Tree, ann: Optional[RankAnnotation] = None) -> Drawing:
     """Order-preserving drawing of width rank(T), <= 3 bends, height <= 2n-1.
 
     Each node is assembled from its corner witness: small children hang
@@ -329,17 +332,10 @@ def draw_ordered(
     reserved vertical ray in their chain column and their subtrees are
     stacked at the bottom, flush left.  A right witness mirrors the whole
     assembly, putting the root at the top-right corner.
-
-    Bends are emitted even where the poly-line happens to be straight so
-    the construction is uniform; pass ``prune_collinear=True`` to drop
-    the degenerate ones.
     """
     if ann is None:
         ann = rank(t)
-    out = _finalize(t, _build_ordered(t, ann, _assemble3), "ordered3")
-    if prune_collinear:
-        out.edges = {k: _prune(pts) for k, pts in out.edges.items()}
-    return out
+    return _finalize(t, _build_ordered(t, ann, _assemble3), "ordered3")
 
 
 def reduce_bends(d: Drawing, t: Tree) -> Drawing:
@@ -371,6 +367,11 @@ def _prune(pts):
             out.append(q)
     out.append(pts[-1])
     return out
+
+
+def prune_collinear(d: Drawing) -> Drawing:
+    """The same drawing without repeated points or bends on a straight run."""
+    return Drawing(d.mode, dict(d.pos), {k: _prune(pts) for k, pts in d.edges.items()})
 
 
 def layout_stats(d: Drawing) -> LayoutStats:
@@ -418,7 +419,8 @@ def drawing_to_json(d: Drawing) -> dict:
     }
 
 
-_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)")
+# canonical decimal text only: "-0" would alias node 0
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _json_int(v):
@@ -439,10 +441,10 @@ def drawing_from_json(obj) -> Drawing:
 
     Coordinates and edge ends must be JSON integers and position keys the
     decimal text of an integer, there must be at least one node, and no
-    edge may be listed twice; anything else raises ValueError.
+    edge may be listed twice; anything else raises InputError.
     """
     if not isinstance(obj, dict):
-        raise ValueError("drawing JSON must be an object")
+        raise InputError("drawing JSON must be an object")
     try:
         mode = obj["mode"]
         pos = {
@@ -458,7 +460,7 @@ def drawing_from_json(obj) -> Drawing:
         if not pos:
             raise ValueError("a drawing needs at least one node")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed drawing JSON: {exc}") from exc
+        raise InputError(f"malformed drawing JSON: {exc}") from exc
     if mode not in ("unordered", "ordered3", "ordered1"):
-        raise ValueError(f"unknown drawing mode {mode!r}")
+        raise InputError(f"unknown drawing mode {mode!r}")
     return Drawing(mode=mode, pos=pos, edges=edges)

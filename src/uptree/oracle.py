@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .tree import Tree, parse_tree, serialize_tree
+from .tree import InputError, Tree, parse_tree, serialize_tree
 
 __all__ = [
     "NWRecord",
@@ -72,9 +72,9 @@ def enumerate_trees(n: int, max_n: int = _ENUM_CAP) -> Iterator[Tree]:
     are Catalan(n-1) of them, hence the cap.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if n > max_n:
-        raise ValueError(f"n={n} exceeds enumeration cap {max_n}")
+        raise InputError(f"n={n} exceeds enumeration cap {max_n}")
     for word in _dyck_words(n - 1):
         yield parse_tree("(" + word + ")")
 
@@ -215,7 +215,7 @@ def rank_bruteforce(t: Tree, max_n: int = 11) -> int:
     2^degree blowup; raise it only for trees known to have small degrees.
     """
     if t.n > max_n:
-        raise ValueError(f"tree has {t.n} nodes, oracle cap is {max_n}")
+        raise InputError(f"tree has {t.n} nodes, oracle cap is {max_n}")
     return _rank_of_shape(_shapes(t)[t.root], {})
 
 
@@ -269,7 +269,7 @@ def pathwidth_oracle(t: Tree, max_n: int = 14) -> int:
     at max_n nodes.
     """
     if t.n > max_n:
-        raise ValueError(f"pathwidth_oracle capped at n <= {max_n}, got {t.n}")
+        raise InputError(f"pathwidth_oracle capped at n <= {max_n}, got {t.n}")
     adj: dict = {v: [] for v in range(t.n)}
     for v in range(t.n):
         for c in t.children(v):
@@ -396,9 +396,9 @@ def min_nodes_for_rank(W: int, n_max: int) -> NWRecord:
     we report but do not assert.
     """
     if W < 1 or W > 4:
-        raise ValueError("W must be in 1..4 (search space explodes beyond)")
+        raise InputError("W must be in 1..4 (search space explodes beyond)")
     if n_max < 1 or n_max > _ENUM_CAP:
-        raise ValueError(f"n_max must be in 1..{_ENUM_CAP}")
+        raise InputError(f"n_max must be in 1..{_ENUM_CAP}")
     memo: dict = {}
     for n in range(1, n_max + 1):
         for t in enumerate_trees(n):
@@ -424,7 +424,9 @@ def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
     smallest trees first.  The sweep is exhaustive and deterministic.
     """
     if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+        raise InputError("max_n must be >= 1")
+    if max_n > _ENUM_CAP:
+        raise InputError(f"max_n={max_n} exceeds enumeration cap {_ENUM_CAP}")
     # the one deliberate contact with the engine: the scans are the subject
     from .ranking import CornerWitness, corner_scan
 

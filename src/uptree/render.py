@@ -9,6 +9,7 @@ content (the 1-bend layouts stretch rows exponentially on purpose).
 from __future__ import annotations
 
 from .layout import Drawing
+from .tree import InputError
 
 __all__ = ["render_svg", "render_ascii"]
 
@@ -53,7 +54,7 @@ def render_svg(d: Drawing, unit: int = 28, radius: int = 5) -> str:
 def render_ascii(d: Drawing) -> str:
     """Character grid: 'o' nodes, '+' bends, '|', '-', '/', '\\' lines.
 
-    Raises ValueError when the grid would exceed about 10^7 cells.
+    Raises InputError when the grid would exceed about 10^7 cells.
     """
     xs = [p[0] for p in d.pos.values()]
     ys = [p[1] for p in d.pos.values()]
@@ -65,7 +66,7 @@ def render_ascii(d: Drawing) -> str:
     w = x1 - x0 + 1
     h = y1 - y0 + 1
     if w * h > _CELL_CAP:
-        raise ValueError(
+        raise InputError(
             f"grid of {w} x {h} cells is too large to print; "
             "this drawing is meant for the json or svg output"
         )

@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "Tree",
+    "InputError",
     "ParseError",
     "parse_tree",
     "serialize_tree",
@@ -28,7 +29,14 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Bad input where the library checks it: tree text or JSON, drawings,
+    the properties asked of a check, and the sizes and ranges that the
+    generators, the oracles and the ascii renderer accept.  The CLI exits
+    2 on this error and on no other exception from the library."""
+
+
+class ParseError(InputError):
     """Raised on malformed tree text or JSON; carries a character offset."""
 
     def __init__(self, message: str, offset: int):
@@ -279,14 +287,14 @@ def tree_from_json(obj) -> Tree:
 def gen_path(k: int) -> Tree:
     """Rooted path of k nodes."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     return Tree([[v + 1] if v + 1 < k else [] for v in range(k)])
 
 
 def gen_complete_binary(h: int) -> Tree:
     """Complete binary tree of height h (a single node has height 1); n = 2^h - 1."""
     if h < 1:
-        raise ValueError("h must be >= 1")
+        raise InputError("h must be >= 1")
     n = 2**h - 1
     children: list = [()] * n
     stack = [(0, h)]
@@ -320,7 +328,7 @@ def gen_quintary_family(i: int) -> Tree:
     T_{i-1} children.  Sizes follow |T_i| = 6|T_{i-1}| + 2.
     """
     if not (1 <= i <= 12):
-        raise ValueError("i must be in 1..12")
+        raise InputError("i must be in 1..12")
     sizes = _quintary_sizes(i)
     n = sizes[i]
     children: list = [()] * n
@@ -352,7 +360,7 @@ def gen_hpd_family(i: int) -> Tree:
     |T_i| = 2|T_{i-1}| + 2 = (3/2)*2^i - 2.
     """
     if not (1 <= i <= 20):
-        raise ValueError("i must be in 1..20")
+        raise InputError("i must be in 1..20")
     sizes = [0, 1]
     for _ in range(2, i + 1):
         sizes.append(2 * sizes[-1] + 2)
@@ -388,7 +396,9 @@ def gen_random_tree(n: int, seed: int, max_degree: Optional[int] = None) -> Tree
     number of attempts.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
+    if max_degree is not None and max_degree < 1:
+        raise InputError("max_degree must be >= 1")
     rng = random.Random(seed)
     attempts = _REJECTION_ATTEMPTS if max_degree is not None else 1
     for _ in range(attempts):

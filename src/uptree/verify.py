@@ -34,7 +34,7 @@ from typing import Optional
 
 from .layout import Drawing, _prune
 from .ranking import RankWitness, rank, validate_rank_witness
-from .tree import Tree
+from .tree import InputError, Tree
 
 __all__ = [
     "DrawingMismatch",
@@ -47,7 +47,7 @@ __all__ = [
 PROPERTIES = ("planar", "upward", "strictly_upward", "order_preserving", "straight_line")
 
 
-class DrawingMismatch(ValueError):
+class DrawingMismatch(InputError):
     """The drawing does not structurally describe the given tree."""
 
 
@@ -302,7 +302,7 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
     """
     for prop in require:
         if prop not in PROPERTIES:
-            raise ValueError(f"unknown property {prop!r}; choose from {PROPERTIES}")
+            raise InputError(f"unknown property {prop!r}; choose from {PROPERTIES}")
     pos, lines = _structural(t, d)
     violations: list = []
 

@@ -1,4 +1,4 @@
-"""Exit codes, JSON output, stdin handling, env cap."""
+"""Exit codes, JSON output, stdin handling, size caps."""
 
 import json
 import os
@@ -12,11 +12,13 @@ import pytest
 import uptree
 import uptree.verify as verify
 from uptree.cli import main
-from uptree.layout import Drawing
+from uptree.layout import Drawing, drawing_from_json
 from uptree.ranking import rank_witness_to_json
 from uptree.tree import gen_path, parse_tree, serialize_tree
 
 EXAMPLE = "(()()(()()))"
+STAR16 = "(" + "()" * 15 + ")"
+STAR21 = "(" + "()" * 20 + ")"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory that holds the imported ``uptree`` package. Child processes
 # get it first on PYTHONPATH, so they run the code under test and not some
@@ -51,10 +53,9 @@ def test_widths_with_pw(capsys):
 
 
 def test_widths_pw_cap(capsys):
-    code, _, err = run(capsys, "widths", "(" + "()" * 10 + ")", "--pw",
-                       "--pw-cap", "5")
-    assert code == 2
-    assert "capped" in err
+    code, out, err = run(capsys, "widths", STAR16, "--pw")
+    assert (code, out) == (2, "")
+    assert "capped at n <= 14" in err
 
 
 def test_widths_parse_error_exits_2(capsys):
@@ -72,6 +73,14 @@ def test_widths_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", __import__("io").StringIO(EXAMPLE))
     got = run_json(capsys, "widths", "-")
     assert got["n"] == 6
+
+
+def test_widths_file_not_utf8_exits_2(capsys, tmp_path):
+    p = tmp_path / "t.bin"
+    p.write_bytes(b"\xff\xfe(()")
+    code, out, err = run(capsys, "widths", str(p))
+    assert (code, out) == (2, "")
+    assert "cannot read" in err and "Traceback" not in err
 
 
 def test_widths_from_file(capsys, tmp_path):
@@ -123,10 +132,26 @@ def test_draw_modes(capsys, mode, bends):
 
 
 def test_draw_output_is_loadable(capsys):
-    from uptree.layout import drawing_from_json
     got = run_json(capsys, "draw", EXAMPLE)
     d = drawing_from_json(got)
     assert d.mode == "ordered3"
+
+
+def _collinear_interior(pts):
+    return any((q[0] - a[0]) * (r[1] - q[1]) == (q[1] - a[1]) * (r[0] - q[0])
+               for a, q, r in zip(pts, pts[1:], pts[2:]))
+
+
+def test_draw_ordered1_prunes_collinear(capsys):
+    tree = "((())(()((()((()())))(()(()))(()()((()(())())(()))))))"
+    plain = run_json(capsys, "draw", tree, "--mode", "ordered1")
+    pruned = run_json(capsys, "draw", tree, "--mode", "ordered1", "--prune-collinear")
+    assert pruned != plain
+    assert any(_collinear_interior(e["points"]) for e in plain["edges"])
+    assert not any(_collinear_interior(e["points"]) for e in pruned["edges"])
+    report = verify.check_drawing(parse_tree(tree), drawing_from_json(pruned),
+                                  ("planar", "upward", "order_preserving"))
+    assert report.ok and report.max_bends <= 1
 
 
 # ---------------------------------------------------------------- verify
@@ -211,6 +236,15 @@ def test_verify_duplicate_position_key_exits_2(capsys):
     assert "bad drawing JSON: duplicate key '1'" in err
 
 
+def test_verify_negative_zero_key_exits_2(capsys):
+    # read as int(), "-0" is node 0 again and only the last position counts
+    drawing = ('{"mode": "unordered", "positions": {"0": [1, 2], "-0": [9, 9], "1": [1, 1]}, '
+               '"edges": [{"from": 0, "to": 1, "points": [[9, 9], [1, 1]]}]}')
+    code, out, err = run(capsys, "verify", "(())", drawing)
+    assert (code, out) == (2, "")
+    assert "position key '-0' is not an integer" in err
+
+
 def _json_drawing(obj):
     """The drawing JSON as the library's Drawing, its points kept as lists."""
     return Drawing(mode=obj["mode"],
@@ -282,30 +316,9 @@ def test_oracle_rank_agrees(capsys):
 
 
 def test_oracle_rank_respects_cap(capsys):
-    code, _, err = run(capsys, "oracle", "rank", "(" + "()" * 10 + ")",
-                       "--max-n", "40")
-    assert code == 2
-    assert "cap" in err
-
-
-def test_oracle_cap_env_raises_ceiling(capsys, monkeypatch):
-    big_tree = "(" + "()" * 10 + ")"  # 21 nodes
-    monkeypatch.setenv("UPTREE_ORACLE_CAP", "25")
-    got = run_json(capsys, "oracle", "rank", big_tree, "--max-n", "25")
-    assert got["agree"] is True
-
-
-def test_oracle_cap_env_lowers_ceiling(capsys, monkeypatch):
-    monkeypatch.setenv("UPTREE_ORACLE_CAP", "4")
-    code, _, err = run(capsys, "oracle", "rank", "((())()())", "--max-n", "8")
-    assert code == 2
-
-
-def test_oracle_cap_env_must_be_int(capsys, monkeypatch):
-    monkeypatch.setenv("UPTREE_ORACLE_CAP", "soon")
-    code, _, err = run(capsys, "oracle", "nw", "2")
-    assert code == 2
-    assert "UPTREE_ORACLE_CAP" in err
+    code, out, err = run(capsys, "oracle", "rank", STAR21)
+    assert (code, out) == (2, "")
+    assert "oracle cap is 11" in err
 
 
 def test_oracle_nw(capsys):
@@ -365,7 +378,52 @@ def test_render_rejects_tree_text(capsys):
     assert "JSON" in err
 
 
+# ---------------------------------------------------- caps and deep input
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["widths", STAR16, "--pw"], "pathwidth_oracle capped at n <= 14, got 16"),
+    (["widths", "(((()())(()()))((()())(()())))", "--pw"],
+     "pathwidth_oracle capped at n <= 14, got 15"),
+    (["gen", "random", "5", "--max-degree", "0"], "max_degree must be >= 1"),
+    (["oracle", "nw", "2", "--n-max", "99"], "n_max must be in 1..15"),
+    (["oracle", "equivalence", "--max-n", "99"], "max_n=99 exceeds enumeration cap 15"),
+], ids=["pw-star16", "pw-n15", "max-degree-0", "nw-n-max-99", "equivalence-max-n-99"])
+def test_library_caps_exit_2(capsys, argv, message):
+    # the library's own message, and no second check in front of it
+    assert run(capsys, *argv) == (2, "", f"uptree: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["widths", "(" + "()" * 10 + ")", "--pw", "--pw-cap", "5"],
+    ["oracle", "rank", "(()())", "--max-n", "99"],
+], ids=["pw-cap", "oracle-rank-max-n"])
+def test_cap_flags_are_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["widths", "verify"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"root": 0, "nodes": ' + "[" * 10**5 + "]" * 10**5 + "}")
+    argv = [command, str(deep)] if command == "widths" else [command, "(())", str(deep)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ exit codes
+
+
+def test_input_error_exits_2(capsys, monkeypatch):
+    def bad_input(t):
+        raise uptree.InputError("boom")
+    monkeypatch.setattr("uptree.cli.param_report", bad_input)
+    assert run(capsys, "widths", EXAMPLE) == (2, "", "uptree: boom\n")
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

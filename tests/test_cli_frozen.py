@@ -154,8 +154,7 @@ def drawing_calls(drawn):
 
 
 @pytest.fixture
-def outputs(capsys, monkeypatch):
-    monkeypatch.delenv("UPTREE_ORACLE_CAP", raising=False)
+def outputs(capsys):
     records = []
     drawn = {}
 

@@ -1,0 +1,102 @@
+"""Which checks are the caller's input errors and which are the library's.
+
+``InputError`` is raised exactly where a caller can get the input wrong;
+the CLI maps it, and nothing else, to exit 2.  The checks that only a
+fault in the library can trip stay plain ``ValueError`` (exit 3).
+"""
+
+import time
+
+import pytest
+
+from uptree import InputError
+from uptree.layout import Drawing, draw_ordered, drawing_from_json, reduce_bends
+from uptree.oracle import (
+    enumerate_trees,
+    equivalence_suite,
+    min_nodes_for_rank,
+    pathwidth_oracle,
+    rank_bruteforce,
+)
+from uptree.ranking import corner_scan
+from uptree.render import render_ascii
+from uptree.tree import (
+    ParseError,
+    Tree,
+    gen_complete_binary,
+    gen_hpd_family,
+    gen_path,
+    gen_quintary_family,
+    gen_random_tree,
+    parse_tree,
+    tree_from_json,
+)
+from uptree.verify import DrawingMismatch, check_drawing
+
+PAIR = parse_tree("(())")
+PAIR_DRAWING = Drawing(mode="unordered", pos={0: (1, 2), 1: (1, 1)},
+                       edges={(0, 1): [(1, 2), (1, 1)]})
+HUGE = Drawing(mode="ordered1", pos={0: (1, 10**8), 1: (1, 1)},
+               edges={(0, 1): [(1, 10**8), (1, 1)]})
+
+INPUT_ERRORS = {
+    "gen_path": lambda: gen_path(0),
+    "gen_complete_binary": lambda: gen_complete_binary(0),
+    "gen_quintary_family": lambda: gen_quintary_family(13),
+    "gen_hpd_family": lambda: gen_hpd_family(21),
+    "gen_random_tree-n": lambda: gen_random_tree(0, seed=0),
+    "gen_random_tree-max_degree": lambda: gen_random_tree(5, seed=0, max_degree=0),
+    "check_drawing-property": lambda: check_drawing(PAIR, PAIR_DRAWING, ("acyclic",)),
+    "check_drawing-mismatch": lambda: check_drawing(parse_tree("()"), PAIR_DRAWING),
+    "drawing_from_json-type": lambda: drawing_from_json([]),
+    "drawing_from_json-malformed": lambda: drawing_from_json({"mode": "unordered"}),
+    "drawing_from_json-mode": lambda: drawing_from_json(
+        {"mode": "sideways", "positions": {"0": [1, 1]}, "edges": []}),
+    "render_ascii": lambda: render_ascii(HUGE),
+    "enumerate_trees-n": lambda: next(enumerate_trees(0)),
+    "enumerate_trees-cap": lambda: next(enumerate_trees(16)),
+    "rank_bruteforce": lambda: rank_bruteforce(gen_path(12)),
+    "pathwidth_oracle": lambda: pathwidth_oracle(gen_path(15)),
+    "min_nodes_for_rank-W": lambda: min_nodes_for_rank(5, n_max=12),
+    "min_nodes_for_rank-n_max": lambda: min_nodes_for_rank(2, n_max=16),
+    "equivalence_suite-low": lambda: equivalence_suite(max_n=0),
+    "equivalence_suite-high": lambda: equivalence_suite(max_n=16),
+    "parse_tree": lambda: parse_tree("(()"),
+    "tree_from_json": lambda: tree_from_json({"root": 0}),
+}
+
+LIBRARY_FAULTS = {
+    "Tree": lambda: Tree([[5]]),
+    "corner_scan": lambda: corner_scan([], 1, "left"),
+    "reduce_bends": lambda: reduce_bends(reduce_bends(draw_ordered(PAIR), PAIR), PAIR),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_checks_raise_input_error(name):
+    with pytest.raises(InputError):
+        INPUT_ERRORS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_FAULTS))
+def test_library_faults_stay_plain_value_errors(name):
+    with pytest.raises(ValueError) as exc:
+        LIBRARY_FAULTS[name]()
+    assert not isinstance(exc.value, InputError)
+
+
+def test_error_hierarchy():
+    assert issubclass(InputError, ValueError)
+    assert issubclass(ParseError, InputError)
+    assert issubclass(DrawingMismatch, InputError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: equivalence_suite(max_n=16),
+    lambda: gen_random_tree(10**5, seed=0, max_degree=0),
+], ids=["equivalence_suite", "gen_random_tree"])
+def test_range_checks_come_before_the_work(call):
+    start = time.perf_counter()
+    with pytest.raises(InputError):
+        call()
+    assert time.perf_counter() - start < 1.0

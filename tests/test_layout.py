@@ -15,6 +15,7 @@ from uptree.layout import (
     drawing_from_json,
     drawing_to_json,
     layout_stats,
+    prune_collinear,
     reduce_bends,
 )
 from uptree.oracle import enumerate_trees
@@ -178,13 +179,19 @@ def test_unordered_beats_ordered_on_quintary():
 def test_prune_collinear_drops_degenerate_bends():
     t = with_ranks([2, 3])
     d = draw_ordered(t)
-    dp = draw_ordered(t, prune_collinear=True)
+    dp = prune_collinear(d)
     counts = {k: len(pts) for k, pts in d.edges.items()}
     pruned = {k: len(pts) for k, pts in dp.edges.items()}
     assert all(pruned[k] <= counts[k] for k in counts)
     assert sum(pruned.values()) < sum(counts.values())
     assert dp.pos == d.pos
     assert check(t, dp, ordered=True) == []
+
+
+def test_layout_stats_interior_root():
+    d = Drawing(mode="unordered", pos={0: (2, 2), 1: (1, 1), 2: (3, 1)},
+                edges={(0, 1): [(2, 2), (1, 1)], (0, 2): [(2, 2), (3, 1)]})
+    assert layout_stats(d).root_corner == "interior"
 
 
 def test_explicit_annotations_accepted():
@@ -211,7 +218,7 @@ FROZEN_DRAW = {
     "unordered": draw_unordered,
     "ordered3": draw_ordered,
     "ordered1": lambda t: reduce_bends(draw_ordered(t), t),
-    "ordered3_pruned": lambda t: draw_ordered(t, prune_collinear=True),
+    "ordered3_pruned": lambda t: prune_collinear(draw_ordered(t)),
 }
 
 

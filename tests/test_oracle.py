@@ -75,6 +75,11 @@ def test_rank_bruteforce_cap():
     assert rank_bruteforce(gen_path(12), max_n=12) == 1
 
 
+def test_rank_bruteforce_max_n_raises_ceiling():
+    star21 = parse_tree("(" + "()" * 20 + ")")
+    assert rank_bruteforce(star21, max_n=21) == rank(star21).root_rank()
+
+
 def test_quintary_family_ranks():
     # degree stays <= 5, so the cap can be lifted far beyond the default
     for i in range(1, 5):

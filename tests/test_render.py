@@ -78,6 +78,12 @@ def test_ascii_independent_of_edge_order(shape):
         assert render_ascii(Drawing(d.mode, d.pos, backwards)) == art
 
 
+def test_ascii_level_segment():
+    d = Drawing(mode="unordered", pos={0: (1, 1), 1: (3, 1)},
+                edges={(0, 1): [(1, 1), (3, 1)]})
+    assert render_ascii(d) == "o---o\n"
+
+
 def test_ascii_refuses_huge_grids():
     d = Drawing(mode="ordered1", pos={0: (1, 10**8), 1: (1, 1)},
                 edges={(0, 1): [(1, 10**8), (1, 1)]})

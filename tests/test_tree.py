@@ -131,6 +131,14 @@ def test_json_round_trip():
     assert t2 == t
 
 
+def test_json_round_trip_keeps_labels():
+    t = parse_tree("root(a() (b()))")
+    obj = json.loads(json.dumps(tree_to_json(t)))
+    assert [rec.get("label") for rec in obj["nodes"]] == ["root", "a", None, "b"]
+    t2 = tree_from_json(obj)
+    assert [t2.label(v) for v in range(t2.n)] == ["root", "a", None, "b"]
+
+
 def test_json_accepts_arbitrary_ids_and_renumbers():
     obj = {
         "root": 10,

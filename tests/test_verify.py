@@ -369,6 +369,15 @@ def test_extraction_single_node_is_none():
     assert extract_rank_witness(t, draw_unordered(t)) is None
 
 
+def test_extraction_none_when_no_subtree_meets_root_column():
+    # the only edge leaves the root's column at once and touches it nowhere
+    t = parse_tree("(())")
+    d = Drawing(mode="unordered", pos={0: (1, 2), 1: (2, 1)},
+                edges={(0, 1): [(1, 2), (2, 1)]})
+    assert check_drawing(t, d, ("planar", "upward", "order_preserving")).ok
+    assert extract_rank_witness(t, d) is None
+
+
 def test_extraction_refuses_broken_drawing(example_drawing):
     t, base = example_drawing
     m = clone(base)
