@@ -229,8 +229,8 @@ def tree_from_json(obj) -> Tree:
 
     Node ids may be arbitrary integers; the result is renumbered to
     canonical preorder ids.  Ids that are not integers (booleans and
-    floats included), duplicate ids, several parents and unreachable
-    nodes raise ParseError.
+    floats included), duplicate ids, several parents, unreachable nodes
+    and a label that is neither a string nor null raise ParseError.
     """
     if not isinstance(obj, dict) or "root" not in obj or "nodes" not in obj:
         raise ParseError("tree JSON must have 'root' and 'nodes'", 0)
@@ -254,8 +254,11 @@ def tree_from_json(obj) -> Tree:
             if not _is_json_int(c):
                 raise ParseError(f"child id {c!r} under {nid} is not an integer", 0)
         kids[nid] = cs
-        if "label" in rec and rec["label"] is not None:
-            labels_raw[nid] = str(rec["label"])
+        label = rec.get("label")
+        if label is not None:
+            if not isinstance(label, str):
+                raise ParseError(f"label of node {nid} is not a string or null", 0)
+            labels_raw[nid] = label
     root = obj["root"]
     if not _is_json_int(root):
         raise ParseError(f"root {root!r} is not an integer", 0)

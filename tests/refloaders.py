@@ -1,7 +1,8 @@
 """Reference tree loaders: the two-pass ``parse_tree`` and ``tree_from_json``.
 
 A plain copy of the loaders as they stood before they were rewritten to
-build the tree in one preorder pass.  Each one checks its input, builds
+build the tree in one preorder pass, plus the rule that came in with the
+rewrite: a JSON label is a string or null.  Each one checks its input, builds
 child lists and hands them to the validating ``Tree(children, labels)``,
 which walks the whole tree again.  Slow on purpose; kept out of the
 package so the tests have something independent to compare the fast
@@ -85,8 +86,11 @@ def tree_from_json(obj) -> Tree:
             if not _is_json_int(c):
                 raise ParseError(f"child id {c!r} under {nid} is not an integer", 0)
         kids[nid] = cs
-        if "label" in rec and rec["label"] is not None:
-            labels_raw[nid] = str(rec["label"])
+        label = rec.get("label")
+        if label is not None:
+            if not isinstance(label, str):
+                raise ParseError(f"label of node {nid} is not a string or null", 0)
+            labels_raw[nid] = label
     root = obj["root"]
     if not _is_json_int(root):
         raise ParseError(f"root {root!r} is not an integer", 0)

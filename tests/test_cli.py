@@ -110,6 +110,17 @@ def test_widths_json_non_integer_id_exits_2(capsys, blob):
     assert "not an integer" in err
 
 
+def test_widths_json_label_not_string_exits_2(capsys):
+    blob = '{"root": 0, "nodes": [{"id": 0, "label": [[1], {"a": 2}]}]}'
+    assert run(capsys, "widths", blob) == (
+        2, "", "uptree: label of node 0 is not a string or null (offset 0)\n")
+
+
+def test_widths_json_null_label_is_no_label(capsys):
+    blob = '{"root": 0, "nodes": [{"id": 0, "label": null, "children": [1]}, {"id": 1}]}'
+    assert run_json(capsys, "widths", blob)["n"] == 2
+
+
 def test_widths_duplicate_json_key_exits_2(capsys):
     blob = ('{"root": 0, "nodes": [{"id": 0, "children": [1], "children": [1, 2]}, '
             '{"id": 1}, {"id": 2}]}')

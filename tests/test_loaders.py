@@ -88,7 +88,8 @@ def tree_json(draw):
         if t.children(v) or draw(st.booleans()):
             rec["children"] = [ids[c] for c in t.children(v)]
         if draw(st.integers(0, 3)) == 0:
-            rec["label"] = draw(st.one_of(st.none(), st.text(LABEL_CHARS, max_size=3)))
+            rec["label"] = draw(st.one_of(st.none(), st.text(LABEL_CHARS, max_size=3),
+                                          st.sampled_from([5, True, 1.5, ["a"], {"a": 2}])))
         nodes.append(rec)
     nodes = draw(st.permutations(nodes))
     obj = {"root": ids[0], "nodes": nodes}

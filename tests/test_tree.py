@@ -172,6 +172,10 @@ def test_json_accepts_arbitrary_ids_and_renumbers():
         {"root": False, "nodes": [{"id": 0, "children": [1]}, {"id": 1}]},
         {"root": 0.0, "nodes": [{"id": 0, "children": [1]}, {"id": 1}]},
         {"root": [0], "nodes": [{"id": 0, "children": [1]}, {"id": 1}]},
+        # a label is a string or null, never another JSON value
+        {"root": 0, "nodes": [{"id": 0, "label": [[1], {"a": 2}]}]},
+        {"root": 0, "nodes": [{"id": 0, "children": [1]}, {"id": 1, "label": 7}]},
+        {"root": 0, "nodes": [{"id": 0, "label": False}]},
     ],
 )
 def test_json_structural_errors(obj):
