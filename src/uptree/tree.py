@@ -90,6 +90,23 @@ class Tree:
         self._parent = tuple(parent)
         self._labels = dict(labels) if labels else {}
 
+    @classmethod
+    def _preorder(cls, parent: list, labels: dict) -> Tree:
+        """The tree in which node v hangs under ``parent[v]``, taken as is.
+
+        ``parent`` must be a preorder parent array: ``parent[0] == -1``
+        and ``0 <= parent[v] < v`` otherwise.  Nothing is checked; the
+        loaders check their input and build the tree in one pass with this.
+        """
+        kids: list[list[int]] = [[] for _ in parent]
+        for v in range(1, len(parent)):
+            kids[parent[v]].append(v)
+        t = cls.__new__(cls)
+        t._children = tuple(map(tuple, kids))
+        t._parent = tuple(parent)
+        t._labels = labels
+        return t
+
     @property
     def n(self) -> int:
         return len(self._children)
@@ -147,49 +164,39 @@ def parse_tree(text: str) -> Tree:
         On empty input, unbalanced parentheses, or trailing garbage,
         with the character offset of the problem.
     """
-    children: list[list[int]] = []
+    parent: list[int] = []
     labels: dict[int, str] = {}
-    stack: list[int] = []
-    i = 0
-    end = len(text)
-    root_closed = False
-    while i < end:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if root_closed:
-            raise ParseError("trailing garbage after tree", i)
-        if ch == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", i)
-            stack.pop()
-            if not stack:
-                root_closed = True
-            i += 1
-            continue
-        label = None
-        if ch != "(":
-            j = i
-            while j < end and text[j] not in "()" and not text[j].isspace():
-                j += 1
-            label = text[i:j]
-            if j >= end or text[j] != "(":
-                raise ParseError("expected '(' after label", j)
-            i = j
-        nid = len(children)
-        children.append([])
-        if label is not None:
-            labels[nid] = label
-        if stack:
-            children[stack[-1]].append(nid)
-        stack.append(nid)
-        i += 1
-    if stack:
-        raise ParseError("unbalanced '(': input ended with open nodes", end)
-    if not children:
+    top = -1  # the innermost open node; -1 before the root opens and after it closes
+    label_at = -1  # where the label being read starts, or -1
+    for i, ch in enumerate(text):
+        if ch == "(":
+            if label_at >= 0:
+                labels[len(parent)] = text[label_at:i]
+                label_at = -1
+            elif top < 0 and parent:
+                raise ParseError("trailing garbage after tree", i)
+            parent.append(top)
+            top = len(parent) - 1
+        elif ch == ")":
+            if label_at >= 0:
+                raise ParseError("expected '(' after label", i)
+            if top < 0:
+                raise ParseError("trailing garbage after tree" if parent else "unbalanced ')'", i)
+            top = parent[top]
+        elif ch.isspace():
+            if label_at >= 0:
+                raise ParseError("expected '(' after label", i)
+        elif label_at < 0:
+            if top < 0 and parent:
+                raise ParseError("trailing garbage after tree", i)
+            label_at = i
+    if label_at >= 0:
+        raise ParseError("expected '(' after label", len(text))
+    if top >= 0:
+        raise ParseError("unbalanced '(': input ended with open nodes", len(text))
+    if not parent:
         raise ParseError("empty input", 0)
-    return Tree(children, labels)
+    return Tree._preorder(parent, labels)
 
 
 def serialize_tree(t: Tree) -> str:
@@ -243,7 +250,8 @@ def tree_from_json(obj) -> Tree:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError("each node needs an 'id'", 0)
         nid = rec["id"]
-        if not _is_json_int(nid):
+        # ``type(x) is int`` settles the common case without a call
+        if type(nid) is not int and not _is_json_int(nid):
             raise ParseError(f"node id {nid!r} is not an integer", 0)
         if nid in kids:
             raise ParseError(f"duplicate node id {nid}", 0)
@@ -251,7 +259,7 @@ def tree_from_json(obj) -> Tree:
         if not isinstance(cs, list):
             raise ParseError(f"children of {nid} must be a list", 0)
         for c in cs:
-            if not _is_json_int(c):
+            if type(c) is not int and not _is_json_int(c):
                 raise ParseError(f"child id {c!r} under {nid} is not an integer", 0)
         kids[nid] = cs
         label = rec.get("label")
@@ -272,19 +280,25 @@ def tree_from_json(obj) -> Tree:
             if c in seen_child or c == root:
                 raise ParseError(f"node {c} has more than one parent", 0)
             seen_child.add(c)
-    # Renumber in preorder.
-    order = []
+    # Renumber in preorder: the i-th node popped gets id i.  ``above``
+    # runs beside ``stack`` with the new id of each waiting node's parent.
+    parent: list[int] = []
+    labels = {}
     stack = [root]
+    above = [-1]
     while stack:
         v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(kids[v]))
-    if len(order) != len(kids):
+        i = len(parent)
+        parent.append(above.pop())
+        if v in labels_raw:
+            labels[i] = labels_raw[v]
+        cs = kids[v]
+        if cs:
+            stack.extend(reversed(cs))
+            above.extend([i] * len(cs))
+    if len(parent) != len(kids):
         raise ParseError("tree JSON is not connected", 0)
-    newid = {v: i for i, v in enumerate(order)}
-    children = [[newid[c] for c in kids[v]] for v in order]
-    labels = {newid[v]: s for v, s in labels_raw.items()}
-    return Tree(children, labels)
+    return Tree._preorder(parent, labels)
 
 
 def gen_path(k: int) -> Tree:

@@ -280,3 +280,26 @@ def test_parse_serialize_round_trip(n, seed):
 def test_json_round_trip_random(n, seed):
     t = gen_random_tree(n, seed)
     assert tree_from_json(tree_to_json(t)) == t
+
+
+def _labelled_text(t, labels):
+    """serialize_tree(t) with labels[v] before the '(' of node v."""
+    rest = serialize_tree(t).split("(")[1:]  # rest[v] follows the '(' of node v
+    return "".join(labels.get(v, "") + "(" + r for v, r in enumerate(rest))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_path(10**5), lambda: gen_random_tree(10**5, seed=0)],
+                         ids=["path", "random"])
+def test_loaders_round_trip_at_1e5(make):
+    # 10^5 nesting levels on the path: the loaders must not recurse
+    t = make()
+    labels = {v: f"n{v}" for v in range(0, t.n, 7)}
+    want = [labels.get(v) for v in range(t.n)]
+    obj = tree_to_json(t)
+    for v, lab in labels.items():
+        obj["nodes"][v]["label"] = lab
+    for t2 in (parse_tree(_labelled_text(t, labels)), tree_from_json(obj)):
+        assert t2 == t
+        assert list(map(t2.parent, range(1, t.n))) == list(map(t.parent, range(1, t.n)))
+        assert [t2.label(v) for v in range(t.n)] == want
+
