@@ -302,16 +302,23 @@ def tree_from_json(obj) -> Tree:
 
 
 def gen_path(k: int) -> Tree:
-    """Rooted path of k nodes."""
+    """Rooted path of k nodes, 1 <= k <= 2**20."""
     if k < 1:
         raise InputError("k must be >= 1")
+    if k > 2**20:
+        raise InputError("k must be <= 2**20")
     return Tree([[v + 1] if v + 1 < k else [] for v in range(k)])
 
 
 def gen_complete_binary(h: int) -> Tree:
-    """Complete binary tree of height h (a single node has height 1); n = 2^h - 1."""
+    """Complete binary tree of height h (a single node has height 1); n = 2^h - 1.
+
+    1 <= h <= 20: binary(20) has about 10^6 nodes.
+    """
     if h < 1:
         raise InputError("h must be >= 1")
+    if h > 20:
+        raise InputError("h must be <= 20")
     n = 2**h - 1
     children: list = [()] * n
     stack = [(0, h)]

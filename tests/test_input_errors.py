@@ -41,7 +41,10 @@ HUGE = Drawing(mode="ordered1", pos={0: (1, 10**8), 1: (1, 1)},
 
 INPUT_ERRORS = {
     "gen_path": lambda: gen_path(0),
+    "gen_path-cap": lambda: gen_path(2**20 + 1),
     "gen_complete_binary": lambda: gen_complete_binary(0),
+    "gen_complete_binary-cap": lambda: gen_complete_binary(21),
+    "gen_complete_binary-huge": lambda: gen_complete_binary(64),
     "gen_quintary_family": lambda: gen_quintary_family(13),
     "gen_hpd_family": lambda: gen_hpd_family(21),
     "gen_random_tree-n": lambda: gen_random_tree(0, seed=0),
@@ -94,7 +97,9 @@ def test_error_hierarchy():
 @pytest.mark.parametrize("call", [
     lambda: equivalence_suite(max_n=16),
     lambda: gen_random_tree(10**5, seed=0, max_degree=0),
-], ids=["equivalence_suite", "gen_random_tree"])
+    lambda: gen_path(10**9),
+    lambda: gen_complete_binary(40),
+], ids=["equivalence_suite", "gen_random_tree", "gen_path", "gen_complete_binary"])
 def test_range_checks_come_before_the_work(call):
     start = time.perf_counter()
     with pytest.raises(InputError):
