@@ -99,13 +99,16 @@ def tree_json(draw):
         kids = rec.get("children")
         if not isinstance(kids, list):
             kids = rec["children"] = []
-        how = draw(st.sampled_from(["duplicate", "two_parents", "unknown", "not_int_id",
+        how = draw(st.sampled_from(["duplicate", "two_parents", "root_child", "unknown",
+                                    "not_int_id",
                                     "not_int_child", "not_int_root", "disconnected",
                                     "cycle", "drop_key", "bad_nodes", "bad_children"]))
         if how == "duplicate":
             nodes.append({"id": draw(st.sampled_from(ids)), "children": []})
         elif how == "two_parents":
             kids.insert(draw(st.integers(0, len(kids))), draw(st.sampled_from(ids)))
+        elif how == "root_child":
+            kids.append(ids[0])
         elif how == "unknown":
             kids.append(fresh)
         elif how == "not_int_id":
