@@ -88,8 +88,7 @@ def tree_json(draw):
         if t.children(v) or draw(st.booleans()):
             rec["children"] = [ids[c] for c in t.children(v)]
         if draw(st.integers(0, 3)) == 0:
-            rec["label"] = draw(st.one_of(st.none(), st.text(LABEL_CHARS, max_size=3),
-                                          st.sampled_from([5, True, 1.5, ["a"], {"a": 2}])))
+            rec["label"] = draw(st.one_of(st.none(), st.text(LABEL_CHARS, max_size=3)))
         nodes.append(rec)
     nodes = draw(st.permutations(nodes))
     obj = {"root": ids[0], "nodes": nodes}
@@ -100,9 +99,9 @@ def tree_json(draw):
         if not isinstance(kids, list):
             kids = rec["children"] = []
         how = draw(st.sampled_from(["duplicate", "two_parents", "root_child", "unknown",
-                                    "not_int_id",
-                                    "not_int_child", "not_int_root", "disconnected",
-                                    "cycle", "drop_key", "bad_nodes", "bad_children"]))
+                                    "not_int_id", "not_int_child", "not_int_root",
+                                    "disconnected", "cycle", "drop_key", "bad_nodes",
+                                    "bad_label", "bad_children"]))
         if how == "duplicate":
             nodes.append({"id": draw(st.sampled_from(ids)), "children": []})
         elif how == "two_parents":
@@ -127,6 +126,8 @@ def tree_json(draw):
             target.pop(key, None)
         elif how == "bad_nodes":
             obj["nodes"] = draw(st.sampled_from([[], {}, None, [3]]))
+        elif how == "bad_label":
+            rec["label"] = draw(st.sampled_from([5, True, 1.5, ["a"], {"a": 2}]))
         else:
             rec["children"] = draw(st.sampled_from([None, 3, {"0": 1}, "[]"]))
         fresh += 2
