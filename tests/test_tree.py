@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -303,3 +304,28 @@ def test_loaders_round_trip_at_1e5(make):
         assert list(map(t2.parent, range(1, t.n))) == list(map(t.parent, range(1, t.n)))
         assert [t2.label(v) for v in range(t.n)] == want
 
+
+
+def _generated():
+    yield from (("path", k, gen_path(k)) for k in (1, 2, 50, 10**5))
+    yield from (("binary", h, gen_complete_binary(h)) for h in range(1, 18))
+    yield from (("quintary", i, gen_quintary_family(i)) for i in range(1, 8))
+    yield from (("hpd", i, gen_hpd_family(i)) for i in range(1, 17))
+    for n in (1, 2, 9, 300, 10**5):
+        for seed in range(5):
+            yield ("random", (n, seed), gen_random_tree(n, seed))
+            if n <= 12:
+                yield ("random3", (n, seed), gen_random_tree(n, seed, max_degree=3))
+
+
+# SHA-256 over serialize_tree of every generated tree above, frozen from the
+# generators that filled in child lists by hand; the paren-text generators
+# must give the same trees.
+FROZEN_GENERATORS = "4edcd3ed955d49cba2e7bf7e30190ed28c6c9b6ff33920176fc5b241c047609b"
+
+
+def test_frozen_generators():
+    h = hashlib.sha256()
+    for family, arg, t in _generated():
+        h.update(f"{family} {arg} {serialize_tree(t)}\n".encode())
+    assert h.hexdigest() == FROZEN_GENERATORS
