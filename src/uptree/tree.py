@@ -307,7 +307,7 @@ def gen_path(k: int) -> Tree:
         raise InputError("k must be >= 1")
     if k > 2**20:
         raise InputError("k must be <= 2**20")
-    return Tree([[v + 1] if v + 1 < k else [] for v in range(k)])
+    return parse_tree("(" * k + ")" * k)
 
 
 def gen_complete_binary(h: int) -> Tree:
@@ -319,29 +319,10 @@ def gen_complete_binary(h: int) -> Tree:
         raise InputError("h must be >= 1")
     if h > 20:
         raise InputError("h must be <= 20")
-    n = 2**h - 1
-    children: list = [()] * n
-    stack = [(0, h)]
-    while stack:
-        v, ht = stack.pop()
-        if ht == 1:
-            continue
-        # Left subtree occupies the next 2^(ht-1)-1 preorder slots.
-        left = v + 1
-        right = v + 2 ** (ht - 1)
-        children[v] = (left, right)
-        stack.append((left, ht - 1))
-        stack.append((right, ht - 1))
-    return Tree(children)
-
-
-def _quintary_sizes(i: int) -> list:
-    # s(1) = 1, s(i) = 6*s(i-1) + 2: six copies of the previous level
-    # (four direct children plus two under the middle child) plus two nodes.
-    sizes = [0, 1]
-    for _ in range(2, i + 1):
-        sizes.append(6 * sizes[-1] + 2)
-    return sizes
+    t = "()"
+    for _ in range(h - 1):
+        t = f"({t}{t})"
+    return parse_tree(t)
 
 
 def gen_quintary_family(i: int) -> Tree:
@@ -353,27 +334,10 @@ def gen_quintary_family(i: int) -> Tree:
     """
     if not (1 <= i <= 12):
         raise InputError("i must be in 1..12")
-    sizes = _quintary_sizes(i)
-    n = sizes[i]
-    children: list = [()] * n
-    stack = [(0, i)]
-    while stack:
-        v, lev = stack.pop()
-        if lev == 1:
-            continue
-        s = sizes[lev - 1]
-        c1 = v + 1
-        c2 = c1 + s
-        x = c2 + s
-        x1 = x + 1
-        x2 = x1 + s
-        c4 = x + 1 + 2 * s
-        c5 = c4 + s
-        children[v] = (c1, c2, x, c4, c5)
-        children[x] = (x1, x2)
-        for w in (c1, c2, x1, x2, c4, c5):
-            stack.append((w, lev - 1))
-    return Tree(children)
+    t = "()"
+    for _ in range(i - 1):
+        t = f"({t}{t}({t}{t}){t}{t})"
+    return parse_tree(t)
 
 
 def gen_hpd_family(i: int) -> Tree:
@@ -385,25 +349,11 @@ def gen_hpd_family(i: int) -> Tree:
     """
     if not (1 <= i <= 20):
         raise InputError("i must be in 1..20")
-    sizes = [0, 1]
-    for _ in range(2, i + 1):
-        sizes.append(2 * sizes[-1] + 2)
-    n = sizes[i]
-    children: list = [()] * n
-    stack = [(0, i)]
-    while stack:
-        v, lev = stack.pop()
-        if lev == 1:
-            continue
-        s = sizes[lev - 1]
-        left = v + 1
-        p0 = v + 1 + s
-        children[v] = (left, p0)
-        # Right subtree: a rooted path of s+1 nodes, p0 .. p0+s.
-        for q in range(p0, p0 + s):
-            children[q] = (q + 1,)
-        stack.append((left, lev - 1))
-    return Tree(children)
+    t = "()"
+    for _ in range(i - 1):
+        k = len(t) // 2 + 1
+        t = "(" + t + "(" * k + ")" * k + ")"
+    return parse_tree(t)
 
 
 _REJECTION_ATTEMPTS = 10000
@@ -412,12 +362,12 @@ _REJECTION_ATTEMPTS = 10000
 def gen_random_tree(n: int, seed: int, max_degree: Optional[int] = None) -> Tree:
     """Uniformly random ordered rooted tree with n nodes.
 
-    Uses the cycle-lemma construction: shuffle n up-steps and n-1
-    down-steps, rotate to the unique cyclic shift with all prefix sums
-    positive, drop the leading up-step; the remainder is a uniform
-    random balanced-parenthesis word.  Deterministic per (n, seed,
-    max_degree).  With max_degree set, rejection-samples up to a bounded
-    number of attempts.
+    Uses the cycle-lemma construction: shuffle n '(' and n-1 ')',
+    rotate to the unique cyclic shift with all prefix sums positive, and
+    close it with one more ')'; the result is the paren text of a
+    uniform random tree.  Deterministic per (n, seed, max_degree).
+    With max_degree set, rejection-samples up to a bounded number of
+    attempts.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -436,10 +386,7 @@ def gen_random_tree(n: int, seed: int, max_degree: Optional[int] = None) -> Tree
 
 
 def _random_tree_once(n: int, rng) -> Tree:
-    if n == 1:
-        return Tree([[]])
-    m = n - 1
-    steps = [1] * (m + 1) + [-1] * m
+    steps = ["("] * n + [")"] * (n - 1)
     rng.shuffle(steps)
     # Cut just after the last minimum of the prefix sums; the rotation
     # starting there has all prefix sums positive (cycle lemma).
@@ -447,20 +394,9 @@ def _random_tree_once(n: int, rng) -> Tree:
     best = 1  # sums start at 0, first prefix is at most 1, so any real min wins
     cut = 0
     for k, step in enumerate(steps):
-        total += step
+        total += 1 if step == "(" else -1
         if total <= best:
             best = total
             cut = k + 1
-    word = steps[cut:] + steps[:cut]
-    # word[0] is an up-step for the root; the rest walks the tree.
-    children: list[list[int]] = [[]]
-    stack = [0]
-    for step in word[1:]:
-        if step == 1:
-            nid = len(children)
-            children.append([])
-            children[stack[-1]].append(nid)
-            stack.append(nid)
-        else:
-            stack.pop()
-    return Tree(children)
+    # the rotation opens the root first; one more ')' closes it
+    return parse_tree("".join(steps[cut:] + steps[:cut]) + ")")

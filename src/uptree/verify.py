@@ -389,11 +389,9 @@ def reorder_children_by_drawing(t: Tree, d: Drawing):
         mapping[v] = len(trail)
         trail.append(v)
         stack.extend(reversed(order[v]))
-    children = [[] for _ in range(t.n)]
-    for v in trail:
-        children[mapping[v]] = [mapping[c] for c in order[v]]
+    parent = [-1] + [mapping[t.parent(v)] for v in trail[1:]]
     labels = {mapping[v]: t.label(v) for v in range(t.n) if t.label(v) is not None}
-    t2 = Tree(children, labels)
+    t2 = Tree._preorder(parent, labels)
     d2 = Drawing(
         mode=d.mode,
         pos={mapping[u]: p for u, p in d.pos.items()},
