@@ -331,9 +331,11 @@ def gen_quintary_family(i: int) -> Tree:
     T_1 is a single node; T_i has five children
     [T_{i-1}, T_{i-1}, X, T_{i-1}, T_{i-1}] where X itself has two
     T_{i-1} children.  Sizes follow |T_i| = 6|T_{i-1}| + 2.
+
+    1 <= i <= 8: quintary(8) has 391910 nodes.
     """
-    if not (1 <= i <= 12):
-        raise InputError("i must be in 1..12")
+    if not (1 <= i <= 8):
+        raise InputError("i must be in 1..8")
     t = "()"
     for _ in range(i - 1):
         t = f"({t}{t}({t}{t}){t}{t})"
@@ -360,7 +362,7 @@ _REJECTION_ATTEMPTS = 10000
 
 
 def gen_random_tree(n: int, seed: int, max_degree: Optional[int] = None) -> Tree:
-    """Uniformly random ordered rooted tree with n nodes.
+    """Uniformly random ordered rooted tree with n nodes, 1 <= n <= 2**20.
 
     Uses the cycle-lemma construction: shuffle n '(' and n-1 ')',
     rotate to the unique cyclic shift with all prefix sums positive, and
@@ -371,6 +373,8 @@ def gen_random_tree(n: int, seed: int, max_degree: Optional[int] = None) -> Tree
     """
     if n < 1:
         raise InputError("n must be >= 1")
+    if n > 2**20:
+        raise InputError("n must be <= 2**20")
     if max_degree is not None and max_degree < 1:
         raise InputError("max_degree must be >= 1")
     rng = random.Random(seed)

@@ -399,10 +399,12 @@ def test_render_rejects_tree_text(capsys):
     (["gen", "random", "5", "--max-degree", "0"], "max_degree must be >= 1"),
     (["gen", "binary", "64"], "h must be <= 20"),
     (["gen", "path", str(2**20 + 1)], "k must be <= 2**20"),
+    (["gen", "quintary", "12"], "i must be in 1..8"),
+    (["gen", "random", str(10**9)], "n must be <= 2**20"),
     (["oracle", "nw", "2", "--n-max", "99"], "n_max must be in 1..15"),
     (["oracle", "equivalence", "--max-n", "99"], "max_n=99 exceeds enumeration cap 15"),
-], ids=["pw-star16", "pw-n15", "max-degree-0", "binary-64", "path-2**20+1", "nw-n-max-99",
-        "equivalence-max-n-99"])
+], ids=["pw-star16", "pw-n15", "max-degree-0", "binary-64", "path-2**20+1", "quintary-12",
+        "random-10**9", "nw-n-max-99", "equivalence-max-n-99"])
 def test_library_caps_exit_2(capsys, argv, message):
     # the library's own message, and no second check in front of it
     assert run(capsys, *argv) == (2, "", f"uptree: {message}\n")

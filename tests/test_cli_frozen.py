@@ -175,7 +175,7 @@ def outputs(capsys):
 
 
 # SHA-256 over json.dumps([argv, code, stdout, stderr]) of each call, in order.
-FROZEN_CLI_DIGEST = "66bab4293848fc8189728cc6b675db1256a2eff0de6013d0c49337a7c01b64bf"
+FROZEN_CLI_DIGEST = "2e58edd4b9b3e3b82f5f03a5eee0238f27c5e569ee99b09c932249a32880f0a7"
 FROZEN_CLI_CALLS = 426
 
 

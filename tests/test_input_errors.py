@@ -46,8 +46,10 @@ INPUT_ERRORS = {
     "gen_complete_binary-cap": lambda: gen_complete_binary(21),
     "gen_complete_binary-huge": lambda: gen_complete_binary(64),
     "gen_quintary_family": lambda: gen_quintary_family(13),
+    "gen_quintary_family-cap": lambda: gen_quintary_family(9),
     "gen_hpd_family": lambda: gen_hpd_family(21),
     "gen_random_tree-n": lambda: gen_random_tree(0, seed=0),
+    "gen_random_tree-cap": lambda: gen_random_tree(2**20 + 1, seed=0),
     "gen_random_tree-max_degree": lambda: gen_random_tree(5, seed=0, max_degree=0),
     "check_drawing-property": lambda: check_drawing(PAIR, PAIR_DRAWING, ("acyclic",)),
     "check_drawing-mismatch": lambda: check_drawing(parse_tree("()"), PAIR_DRAWING),
@@ -99,7 +101,10 @@ def test_error_hierarchy():
     lambda: gen_random_tree(10**5, seed=0, max_degree=0),
     lambda: gen_path(10**9),
     lambda: gen_complete_binary(40),
-], ids=["equivalence_suite", "gen_random_tree", "gen_path", "gen_complete_binary"])
+    lambda: gen_quintary_family(12),
+    lambda: gen_random_tree(10**9, seed=0),
+], ids=["equivalence_suite", "gen_random_tree", "gen_path", "gen_complete_binary",
+        "gen_quintary_family", "gen_random_tree-cap"])
 def test_range_checks_come_before_the_work(call):
     start = time.perf_counter()
     with pytest.raises(InputError):
