@@ -162,7 +162,6 @@ def _assemble3(boxes, cw):
     root = (1, 0)
     place: list = [None] * d
     prefix: dict = {}
-    raycol: dict = {}
     cur = 0  # allocation cursor: next bend row is cur + 1
     deep = 0  # deepest used row, including shifted second bends
 
@@ -177,7 +176,6 @@ def _assemble3(boxes, cw):
                 # that row is shared with whatever comes next
                 prefix[j] = [root, b1, (w, cur + 2)]
                 deep = max(deep, cur + 2)
-            raycol[j] = 2 if w == 2 else w
             cur += 1
         else:
             _, height, rx = boxes[j - 1]
@@ -188,7 +186,6 @@ def _assemble3(boxes, cw):
 
     if 1 in wof:
         prefix[1] = [root]
-        raycol[1] = 1
     else:
         _, height, rx = boxes[0]
         top = cur + 1
@@ -200,7 +197,7 @@ def _assemble3(boxes, cw):
         j = cw.sigma[w]
         _, height, rx = boxes[j - 1]
         top = base + 1
-        rc = raycol[j]
+        rc = 1 if j == 1 else w  # the column of j's ray
         pts = list(prefix[j])
         if rx == rc:
             pts.append((rc, top))
