@@ -16,15 +16,19 @@ __all__ = ["render_svg", "render_ascii"]
 _CELL_CAP = 10_000_000
 
 
-def render_svg(d: Drawing, unit: int = 28, radius: int = 5) -> str:
-    """Standalone SVG document; y flipped so the root ends up on top."""
+def _bounds(d: Drawing) -> tuple:
+    """(min x, max x, min y, max y) over the nodes and every polyline point."""
     xs = [p[0] for p in d.pos.values()]
     ys = [p[1] for p in d.pos.values()]
     for pts in d.edges.values():
         xs.extend(p[0] for p in pts)
         ys.extend(p[1] for p in pts)
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def render_svg(d: Drawing, unit: int = 28, radius: int = 5) -> str:
+    """Standalone SVG document; y flipped so the root ends up on top."""
+    x0, x1, y0, y1 = _bounds(d)
 
     def sx(x):
         return (x - x0) * unit + unit
@@ -56,13 +60,7 @@ def render_ascii(d: Drawing) -> str:
 
     Raises InputError when the grid would exceed about 10^7 cells.
     """
-    xs = [p[0] for p in d.pos.values()]
-    ys = [p[1] for p in d.pos.values()]
-    for pts in d.edges.values():
-        xs.extend(p[0] for p in pts)
-        ys.extend(p[1] for p in pts)
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1, y0, y1 = _bounds(d)
     w = x1 - x0 + 1
     h = y1 - y0 + 1
     if w * h > _CELL_CAP:
