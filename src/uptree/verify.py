@@ -34,7 +34,7 @@ from typing import Optional
 
 from .layout import Drawing, _prune
 from .ranking import RankWitness, rank, validate_rank_witness
-from .tree import InputError, Tree
+from .tree import InputError, Tree, _is_json_int
 
 __all__ = [
     "DrawingMismatch",
@@ -76,7 +76,7 @@ def _structural(t: Tree, d: Drawing):
     pos = {}
     for u, p in d.pos.items():
         p = tuple(p)
-        if len(p) != 2 or not (isinstance(p[0], int) and isinstance(p[1], int)):
+        if len(p) != 2 or not (_is_json_int(p[0]) and _is_json_int(p[1])):
             raise DrawingMismatch(f"position of node {u} is not an integer pair")
         pos[u] = p
     want = {(t.parent(c), c) for c in range(1, t.n)}
@@ -91,7 +91,7 @@ def _structural(t: Tree, d: Drawing):
         clean = []
         for q in pts:
             q = tuple(q)
-            if len(q) != 2 or not (isinstance(q[0], int) and isinstance(q[1], int)):
+            if len(q) != 2 or not (_is_json_int(q[0]) and _is_json_int(q[1])):
                 raise DrawingMismatch(f"edge {key} has a non-integer point")
             if not clean or q != clean[-1]:
                 clean.append(q)

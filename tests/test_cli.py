@@ -375,6 +375,15 @@ def test_render_svg_to_file(capsys, tmp_path):
     assert target.read_text().startswith("<svg ")
 
 
+def test_render_unwritable_out_exits_2(capsys, tmp_path):
+    drawing = json.dumps(run_json(capsys, "draw", EXAMPLE))
+    target = tmp_path / "no" / "such" / "dir" / "out.svg"
+    code, out, err = run(capsys, "render", drawing, "--format", "svg", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"uptree: cannot write {str(target)!r}")
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("fmt", ["ascii", "svg"])
 def test_render_empty_drawing_exits_2(capsys, fmt):
     code, out, err = run(capsys, "render", '{"mode": "unordered", "positions": {}, "edges": []}',

@@ -68,6 +68,7 @@ INPUT_ERRORS = {
     "equivalence_suite-high": lambda: equivalence_suite(max_n=16),
     "parse_tree": lambda: parse_tree("(()"),
     "tree_from_json": lambda: tree_from_json({"root": 0}),
+    "tree_from_json-root": lambda: tree_from_json({"root": 7, "nodes": [{"id": 0}]}),
 }
 
 LIBRARY_FAULTS = {

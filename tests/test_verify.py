@@ -208,6 +208,24 @@ def test_wrong_endpoint_raises(example_drawing):
         check_drawing(t, m)
 
 
+PAIR = parse_tree("(())")
+
+
+@pytest.mark.parametrize("pos,pts,message", [
+    ({0: (True, 2), 1: (1, 1)}, [(True, 2), (1, 1)], "position of node 0 is not an integer pair"),
+    ({0: (1, 2.0), 1: (1, 1)}, [(1, 2.0), (1, 1)], "position of node 0 is not an integer pair"),
+    ({0: (1, 2), 1: (1, 1, 0)}, [(1, 2), (1, 1)], "position of node 1 is not an integer pair"),
+    ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1, False), (1, 1)], "non-integer point"),
+    ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1.5, 1), (1, 1)], "non-integer point"),
+    ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1,), (1, 1)], "non-integer point"),
+], ids=["bool-position", "float-position", "triple-position", "bool-point", "float-point",
+        "short-point"])
+def test_non_integer_coordinates_raise(pos, pts, message):
+    # a bool is not a coordinate, as in drawing_from_json
+    with pytest.raises(DrawingMismatch, match=message):
+        check_drawing(PAIR, Drawing("unordered", pos, {(0, 1): pts}))
+
+
 def test_unknown_require_name_rejected(example_drawing):
     t, base = example_drawing
     with pytest.raises(ValueError):
