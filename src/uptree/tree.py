@@ -95,8 +95,10 @@ class Tree:
         """The tree in which node v hangs under ``parent[v]``, taken as is.
 
         ``parent`` must be a preorder parent array: ``parent[0] == -1``
-        and ``0 <= parent[v] < v`` otherwise.  Nothing is checked; the
-        loaders check their input and build the tree in one pass with this.
+        and ``0 <= parent[v] < v`` otherwise.  Nothing is checked: the
+        loaders check their input first and build the tree in one pass
+        with this, and every other caller builds a valid array by
+        construction.
         """
         kids: list[list[int]] = [[] for _ in parent]
         for v in range(1, len(parent)):

@@ -76,7 +76,9 @@ def _structural(t: Tree, d: Drawing):
     pos = {}
     for u, p in d.pos.items():
         p = tuple(p)
-        if len(p) != 2 or not (_is_json_int(p[0]) and _is_json_int(p[1])):
+        # two plain ints settle it without a call; a bool is no coordinate
+        if len(p) != 2 or not (type(p[0]) is type(p[1]) is int
+                                or _is_json_int(p[0]) and _is_json_int(p[1])):
             raise DrawingMismatch(f"position of node {u} is not an integer pair")
         pos[u] = p
     want = {(t.parent(c), c) for c in range(1, t.n)}
@@ -91,7 +93,8 @@ def _structural(t: Tree, d: Drawing):
         clean = []
         for q in pts:
             q = tuple(q)
-            if len(q) != 2 or not (_is_json_int(q[0]) and _is_json_int(q[1])):
+            if len(q) != 2 or not (type(q[0]) is type(q[1]) is int
+                                    or _is_json_int(q[0]) and _is_json_int(q[1])):
                 raise DrawingMismatch(f"edge {key} has a non-integer point")
             if not clean or q != clean[-1]:
                 clean.append(q)
