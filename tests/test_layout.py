@@ -246,6 +246,28 @@ def test_frozen_drawings(mode):
     assert h.hexdigest() == FROZEN_DIGESTS[mode]
 
 
+# The frozen corpus above holds only two trees of rank >= 5, so long big-child
+# chains get their own digests: binary(h) has rank h, quintary(i) rank 2i - 1,
+# and the random trees reach rank 7.
+WIDE_DIGESTS = {
+    "ordered3": "dc7d35bbc267882c497d78191dd53c5dab6b1e1bffc109034164fd1efb360e10",
+    "ordered1": "1b0f43b5c59ea497533ad45a1ab51618b0c9906726f6eb7ce9c0d4bb49abd556",
+}
+
+
+def test_frozen_wide_chains():
+    h = {mode: hashlib.sha256() for mode in WIDE_DIGESTS}
+    trees = [gen_quintary_family(i) for i in range(2, 6)]
+    trees += [gen_complete_binary(k) for k in range(2, 13)]
+    trees += [gen_hpd_family(i) for i in range(2, 12)]
+    trees += [gen_random_tree(n, seed=s) for n in (500, 2000, 5000) for s in range(4)]
+    for t in trees:
+        d3 = draw_ordered(t)
+        for mode, d in (("ordered3", d3), ("ordered1", reduce_bends(d3, t))):
+            h[mode].update(json.dumps(drawing_to_json(d), sort_keys=True).encode())
+    assert {mode: x.hexdigest() for mode, x in h.items()} == WIDE_DIGESTS
+
+
 # ------------------------------------------------------------ deep trees
 
 
