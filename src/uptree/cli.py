@@ -44,12 +44,6 @@ from .layout import (
     prune_collinear,
     reduce_bends,
 )
-from .oracle import (
-    equivalence_suite,
-    min_nodes_for_rank,
-    pathwidth_oracle,
-    rank_bruteforce,
-)
 from .ranking import rank, rank_witness_to_json
 from .render import render_ascii, render_svg
 from .tree import (
@@ -134,6 +128,9 @@ def _cmd_widths(args) -> int:
     t = _load_tree(args.tree)
     out = param_report(t).to_json()
     if args.pw:
+        # only `widths --pw` and `oracle` load the exhaustive oracles
+        from .oracle import pathwidth_oracle
+
         out["pw"] = pathwidth_oracle(t)
     out["rank"] = rank(t).root_rank()
     _emit(out)
@@ -193,6 +190,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import equivalence_suite, min_nodes_for_rank, rank_bruteforce
+
     if args.what == "rank":
         t = _load_tree(args.tree)
         brute = rank_bruteforce(t)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from typing import Optional
 
@@ -139,8 +140,8 @@ def draw_unordered(t: Tree, ann: Optional[RpwAnnotation] = None) -> Drawing:
 
 # --------------------------------------------------------------- ordered
 #
-# The assemblers build a left-witness frame with the root in column 1.
-# They take the children's (width, height, root_col) boxes and return
+# The assembler builds a left-witness frame with the root in column 1.
+# It takes the children's (width, height, root_col) boxes and returns
 # (width, height, place).
 
 
@@ -154,100 +155,54 @@ def _flush_edge(rx, top):
     return [(1, 0), (1, top - 1), (rx, top)]
 
 
-def _assemble3(boxes, cw):
-    """Left-witness assembly, dense rows, at most 3 bends per edge."""
+def _assemble(boxes, cw, one_bend):
+    """Left-witness assembly with at most 3 bends per edge on dense rows,
+    or with at most 1 bend per edge when `one_bend` is set.
+
+    Both modes walk the same three phases: small and chain children right
+    to left, then child 1 flush left, then the chain's subtrees stacked at
+    the bottom.  With 3 bends a chain edge leaves on a column-2 staircase
+    whose rows it shares with what comes next.  With 1 bend it leaves the
+    root with integer slope m and anchors at (w, m*(w-1)) in its ray
+    column; placing later content below ``mbig * width`` keeps those long
+    straight segments above everything they must clear.  Blocks reached
+    by a slanted final segment are pushed down geometrically for the same
+    reason.  Heights explode; widths don't.  In the 3-bend mode ``mbig``
+    stays 0 and ``slope`` never passes ``cur``, so each row rule below
+    gives ``cur + 1``.
+    """
     d = len(boxes)
     W = cw.W
     wof = {i: w for w, i in cw.sigma.items()}  # child index -> chain value
     root = (1, 0)
     place: list = [None] * d
     prefix: dict = {}
-    cur = 0  # allocation cursor: next bend row is cur + 1
-    deep = 0  # deepest used row, including shifted second bends
-
-    for j in range(d, 1, -1):
-        b1 = (2, cur + 1)
-        if j in wof:
-            w = wof[j]
-            if w == 2:
-                prefix[j] = [root, b1]
-            else:
-                # second bend one row below the first, inside the ray;
-                # that row is shared with whatever comes next
-                prefix[j] = [root, b1, (w, cur + 2)]
-                deep = max(deep, cur + 2)
-            cur += 1
-        else:
-            _, height, rx = boxes[j - 1]
-            top = cur + 2
-            place[j - 1] = (1, top, [root, b1, (rx + 1, top)])
-            cur = top + height - 1
-        deep = max(deep, cur)
-
-    if 1 in wof:
-        prefix[1] = [root]
-    else:
-        _, height, rx = boxes[0]
-        top = cur + 1
-        place[0] = (0, top, _flush_edge(rx, top))
-        deep = max(deep, top + height - 1)
-
-    base = deep
-    for w in range(cw.Wprime, W + 1):
-        j = cw.sigma[w]
-        _, height, rx = boxes[j - 1]
-        top = base + 1
-        rc = 1 if j == 1 else w  # the column of j's ray
-        pts = list(prefix[j])
-        if rx == rc:
-            pts.append((rc, top))
-        else:
-            bend = (rc, top - 1)
-            if pts[-1] != bend:
-                pts.append(bend)
-            pts.append((rx, top))
-        place[j - 1] = (0, top, pts)
-        base = top + height - 1
-
-    return W, max(base, deep) + 1, place
-
-
-def _assemble1(boxes, cw):
-    """Left-witness assembly with at most 1 bend per edge.
-
-    Same child layout as ``_assemble3``, but each edge gets a single
-    anchor bend instead of a column-2 staircase.  The edge to a big child
-    leaves the root with integer slope m and anchors at (w, m*(w-1)) in
-    its ray column; placing later content below ``slope * width`` keeps
-    those long straight segments above everything they must clear.
-    Blocks reached by a slanted final segment are pushed down
-    geometrically for the same reason.  Heights explode; widths don't.
-    """
-    d = len(boxes)
-    W = cw.W
-    wof = {i: w for w, i in cw.sigma.items()}
-    root = (1, 0)
-    place: list = [None] * d
-    prefix: dict = {}
-    cur = 0  # deepest placed frame row
-    amax = 0  # deepest anchor row
+    cur = 0  # deepest placed row, bend rows of the staircase included
+    deep = 0  # deepest second bend or anchor
     slope = 0  # last used slope; strictly increases right to left
-    mbig = 0  # steepest big-edge slope so far
+    mbig = 0  # steepest chain-edge slope so far
 
     for j in range(d, 1, -1):
         if j in wof:
             w = wof[j]
-            m = max(slope + 1, cur + 1)
-            prefix[j] = [root, (w, m * (w - 1))]
-            slope = m
-            mbig = max(mbig, m)
-            amax = max(amax, m * (w - 1))
+            if one_bend:
+                m = max(slope + 1, cur + 1)
+                prefix[j] = [root, (w, m * (w - 1))]
+                slope = mbig = m
+                deep = max(deep, m * (w - 1))
+            else:
+                prefix[j] = [root, (2, cur + 1)]
+                if w > 2:
+                    # second bend one row below the first, inside the ray;
+                    # that row is shared with whatever comes next
+                    prefix[j].append((w, cur + 2))
+                    deep = max(deep, cur + 2)
+                cur += 1
         else:
             r, height, rx = boxes[j - 1]
-            s = max(slope + 1, cur + 1, mbig * r + 1)
-            top = s + 1
-            place[j - 1] = (1, top, [root, (2, s), (rx + 1, top)])
-            slope = s
+            slope = max(slope + 1, cur + 1, mbig * r + 1)
+            top = slope + 1
+            place[j - 1] = (1, top, [root, (2, slope), (rx + 1, top)])
             cur = top + height - 1
 
     if 1 in wof:
@@ -258,34 +213,28 @@ def _assemble1(boxes, cw):
         place[0] = (0, top, _flush_edge(rx, top))
         cur = top + height - 1
 
-    base = max(cur, amax)
+    base = max(cur, deep)
     for w in range(cw.Wprime, W + 1):
         j = cw.sigma[w]
         _, height, rx = boxes[j - 1]
-        if j == 1:
-            z = base + 1
-            pts = [root]
-            if rx != 1:
-                bend = (1, z - 1)
-                if bend != root:
-                    pts.append(bend)
-            pts.append((rx, z))
-        elif rx == w:
-            # ray column; drop straight down from the anchor
-            z = base + 1
-            pts = prefix[j] + [(w, z)]
-        else:
-            # final segment slants across columns 1..w; push the block far
-            # enough down that the slant clears everything above it
-            z = max(base + 1, (W + 1) * (base + 2))
-            pts = prefix[j] + [(rx, z)]
-        place[j - 1] = (0, z, pts)
-        base = z + height - 1
+        rc = 1 if j == 1 else w  # the column of j's ray
+        pts = prefix[j]
+        top = base + 1
+        if rx != rc:
+            if one_bend and j != 1:
+                # the final segment slants across columns 1..w; push the
+                # block far enough down that the slant clears everything
+                top = (W + 1) * (base + 2)
+            elif pts[-1] != (rc, base):
+                pts.append((rc, base))
+        pts.append((rx, top))
+        place[j - 1] = (0, top, pts)
+        base = top + height - 1
 
-    return W, max(base, amax, cur) + 1, place
+    return W, base + 1, place
 
 
-def _build_ordered(t: Tree, ann: RankAnnotation, assemble) -> list:
+def _build_ordered(t: Tree, ann: RankAnnotation, one_bend: bool) -> list:
     """Frames for every node, children before parents.
 
     A right witness runs the left assembler on the mirrored, reversed
@@ -302,7 +251,7 @@ def _build_ordered(t: Tree, ann: RankAnnotation, assemble) -> list:
         cw = ann.corner[v]
         boxes = [frames[c][:3] for c in kids]
         if cw.side == "left":
-            W, height, place = assemble(boxes, cw)
+            W, height, place = _assemble(boxes, cw, one_bend)
             frames[v] = (W, height, 1, place)
             continue
         d = len(kids)
@@ -312,7 +261,9 @@ def _build_ordered(t: Tree, ann: RankAnnotation, assemble) -> list:
             Wprime=cw.Wprime,
             sigma={w: d + 1 - i for w, i in cw.sigma.items()},
         )
-        W, height, place = assemble([(w, h, w + 1 - rc) for w, h, rc in reversed(boxes)], mirrored)
+        W, height, place = _assemble(
+            [(w, h, w + 1 - rc) for w, h, rc in reversed(boxes)], mirrored, one_bend
+        )
         place = [
             (W - w - dc, dr, [(W + 1 - x, r) for x, r in pts])
             for (w, _, _), (dc, dr, pts) in zip(boxes, reversed(place))
@@ -332,7 +283,7 @@ def draw_ordered(t: Tree, ann: Optional[RankAnnotation] = None) -> Drawing:
     """
     if ann is None:
         ann = rank(t)
-    return _finalize(t, _build_ordered(t, ann, _assemble3), "ordered3")
+    return _finalize(t, _build_ordered(t, ann, False), "ordered3")
 
 
 def reduce_bends(d: Drawing, t: Tree) -> Drawing:
@@ -346,7 +297,7 @@ def reduce_bends(d: Drawing, t: Tree) -> Drawing:
         raise ValueError(f"reduce_bends needs an ordered3 drawing, got {d.mode!r}")
     if set(d.pos) != set(t.preorder()):
         raise ValueError("drawing and tree disagree on node ids")
-    return _finalize(t, _build_ordered(t, rank(t), _assemble1), "ordered1")
+    return _finalize(t, _build_ordered(t, rank(t), True), "ordered1")
 
 
 # ----------------------------------------------------------------- stats
@@ -371,18 +322,22 @@ def prune_collinear(d: Drawing) -> Drawing:
     return Drawing(d.mode, dict(d.pos), {k: _prune(pts) for k, pts in d.edges.items()})
 
 
+def _extent(pos, lines) -> tuple:
+    """(min x, max x, min y, max y, number of distinct y) over the
+    positions in `pos` and every point of the polylines in `lines`."""
+    points = [*pos.values(), *chain.from_iterable(lines)]
+    xs = [x for x, _ in points]
+    ys = {y for _, y in points}
+    return min(xs), max(xs), min(ys), max(ys), len(ys)
+
+
 def layout_stats(d: Drawing) -> LayoutStats:
     """Width, occupied-row count, true bend count, and where the root sits.
 
     Height counts distinct occupied rows, not the coordinate span, so it
     stays meaningful for the stretched ordered1 drawings.
     """
-    xs = [x for x, _ in d.pos.values()]
-    ys = {y for _, y in d.pos.values()}
-    for pts in d.edges.values():
-        xs.extend(x for x, _ in pts)
-        ys.update(y for _, y in pts)
-    lo, hi = min(xs), max(xs)
+    lo, hi, _, _, rows = _extent(d.pos, d.edges.values())
     bends = 0
     for pts in d.edges.values():
         bends = max(bends, len(_prune(pts)) - 2)
@@ -396,7 +351,7 @@ def layout_stats(d: Drawing) -> LayoutStats:
         corner = "interior"
     return LayoutStats(
         width=hi - lo + 1,
-        height=len(ys),
+        height=rows,
         max_bends_per_edge=bends,
         root_corner=corner,
     )
@@ -444,8 +399,9 @@ def drawing_from_json(obj) -> Drawing:
         raise InputError("drawing JSON must be an object")
     try:
         mode = obj["mode"]
+        # two plain ints settle a point without a call
         pos = {
-            _json_node(u): (_json_int(x), _json_int(y))
+            _json_node(u): (x, y) if type(x) is type(y) is int else (_json_int(x), _json_int(y))
             for u, (x, y) in obj["positions"].items()
         }
         edges = {}
@@ -453,7 +409,10 @@ def drawing_from_json(obj) -> Drawing:
             key = (_json_int(e["from"]), _json_int(e["to"]))
             if key in edges:
                 raise ValueError(f"duplicate edge {key[0]} -> {key[1]}")
-            edges[key] = [(_json_int(x), _json_int(y)) for x, y in e["points"]]
+            edges[key] = [
+                (x, y) if type(x) is type(y) is int else (_json_int(x), _json_int(y))
+                for x, y in e["points"]
+            ]
         if not pos:
             raise ValueError("a drawing needs at least one node")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -8,7 +8,7 @@ content (the 1-bend layouts stretch rows exponentially on purpose).
 
 from __future__ import annotations
 
-from .layout import Drawing
+from .layout import Drawing, _extent
 from .tree import InputError
 
 __all__ = ["render_svg", "render_ascii"]
@@ -16,41 +16,27 @@ __all__ = ["render_svg", "render_ascii"]
 _CELL_CAP = 10_000_000
 
 
-def _bounds(d: Drawing) -> tuple:
-    """(min x, max x, min y, max y) over the nodes and every polyline point."""
-    xs = [p[0] for p in d.pos.values()]
-    ys = [p[1] for p in d.pos.values()]
-    for pts in d.edges.values():
-        xs.extend(p[0] for p in pts)
-        ys.extend(p[1] for p in pts)
-    return min(xs), max(xs), min(ys), max(ys)
-
-
 def render_svg(d: Drawing, unit: int = 28, radius: int = 5) -> str:
     """Standalone SVG document; y flipped so the root ends up on top."""
-    x0, x1, y0, y1 = _bounds(d)
-
-    def sx(x):
-        return (x - x0) * unit + unit
-
-    def sy(y):
-        return (y1 - y) * unit + unit
-
-    w = sx(x1) + unit
-    h = sy(y0) + unit
+    x0, x1, y0, y1, _ = _extent(d.pos, d.edges.values())
+    # grid (x, y) lands at (x * unit + ox, oy - y * unit)
+    ox = unit - x0 * unit
+    oy = (y1 + 1) * unit
+    w = (x1 - x0 + 2) * unit
+    h = (y1 - y0 + 2) * unit
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
         f'width="{w}" height="{h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
     for key in sorted(d.edges):
-        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in d.edges[key])
+        pts = " ".join(f"{x * unit + ox},{oy - y * unit}" for x, y in d.edges[key])
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="#555" stroke-width="2"/>'
         )
     for u in sorted(d.pos):
         x, y = d.pos[u]
-        out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{radius}" fill="#1a66a8"/>')
+        out.append(f'<circle cx="{x * unit + ox}" cy="{oy - y * unit}" r="{radius}" fill="#1a66a8"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -60,7 +46,7 @@ def render_ascii(d: Drawing) -> str:
 
     Raises InputError when the grid would exceed about 10^7 cells.
     """
-    x0, x1, y0, y1 = _bounds(d)
+    x0, x1, y0, y1, _ = _extent(d.pos, d.edges.values())
     w = x1 - x0 + 1
     h = y1 - y0 + 1
     if w * h > _CELL_CAP:

@@ -29,10 +29,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
 from typing import Optional
 
-from .layout import Drawing, _prune
+from .layout import Drawing, _extent, _prune
 from .ranking import RankWitness, rank, validate_rank_witness
 from .tree import InputError, Tree, _is_json_int
 
@@ -343,18 +342,15 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
     _planarity(pos, lines, violations)
     planar = len(violations) == before
 
-    points = [*pos.values(), *chain.from_iterable(lines.values())]
-    xs = [x for x, _ in points]
-    ys = {y for _, y in points}
-
+    lo, hi, _, _, rows = _extent(pos, lines.values())
     report = VerifyReport(
         planar=planar,
         upward=upward,
         strictly_upward=strictly,
         order_preserving=ordered,
         straight_line=straight,
-        width=max(xs) - min(xs) + 1,
-        height=len(ys),
+        width=hi - lo + 1,
+        height=rows,
         max_bends=max(max(kept, default=2) - 2, 0),
         violations=violations,
         ok=True,
@@ -420,10 +416,9 @@ def _witness(t: Tree, d: Drawing, report: VerifyReport) -> Optional[RankWitness]
     """extract_rank_witness on the report that check_drawing gave for d."""
     if t.n < 2 or not (report.planar and report.upward and report.order_preserving):
         return None
-    # every node ends some edge, so the polylines span the whole drawing
     x0, y0 = d.pos[t.root]
     W = report.width
-    X = x0 - min(p[0] for pts in d.edges.values() for p in pts) + 1
+    X = x0 - _extent(d.pos, d.edges.values())[0] + 1
 
     # nodes of each root subtree
     owner = {c: i for i, c in enumerate(t.children(t.root), start=1)}

@@ -529,3 +529,13 @@ def test_usage_error_exits_2():
     assert out.returncode == 2
     assert out.stdout == ""
     assert "invalid choice" in out.stderr and "frobnicate" in out.stderr
+
+
+def test_draw_leaves_the_oracles_unloaded():
+    # only `widths --pw` and `oracle` need uptree.oracle; every other
+    # command would pay for compiling it on each start
+    probe = ("import sys; from uptree.cli import main; code = main(['draw', '(()())']); "
+             "print('uptree.oracle' in sys.modules); sys.exit(code)")
+    out = run_child([sys.executable, "-c", probe])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.rstrip().endswith("False")
