@@ -145,16 +145,6 @@ def draw_unordered(t: Tree, ann: Optional[RpwAnnotation] = None) -> Drawing:
 # (width, height, place).
 
 
-def _flush_edge(rx, top):
-    """Edge from the root at (1, 0) to a child block flush with column 1
-    whose root is at (rx, top).  A child with rx > 1 is wider than one
-    column and never starts on row 1, so the bend (1, top - 1) lies
-    below the root."""
-    if rx == 1:
-        return [(1, 0), (1, top)]
-    return [(1, 0), (1, top - 1), (rx, top)]
-
-
 def _assemble(boxes, cw, one_bend):
     """Left-witness assembly with at most 3 bends per edge on dense rows,
     or with at most 1 bend per edge when `one_bend` is set.
@@ -210,7 +200,10 @@ def _assemble(boxes, cw, one_bend):
     else:
         r, height, rx = boxes[0]
         top = max(cur + 1, mbig * max(r - 1, 0) + 1)
-        place[0] = (0, top, _flush_edge(rx, top))
+        # a child with rx > 1 is wider than one column and never starts on
+        # row 1, so the bend (1, top - 1) lies below the root
+        pts = [root, (1, top)] if rx == 1 else [root, (1, top - 1), (rx, top)]
+        place[0] = (0, top, pts)
         cur = top + height - 1
 
     base = max(cur, deep)

@@ -19,7 +19,6 @@ _CELL_CAP = 10_000_000
 def render_svg(d: Drawing, unit: int = 28, radius: int = 5) -> str:
     """Standalone SVG document; y flipped so the root ends up on top."""
     x0, x1, y0, y1, _ = _extent(d.pos, d.edges.values())
-    # grid (x, y) lands at (x * unit + ox, oy - y * unit)
     ox = unit - x0 * unit
     oy = (y1 + 1) * unit
     w = (x1 - x0 + 2) * unit
