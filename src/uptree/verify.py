@@ -8,16 +8,26 @@ segment meets a grid column at an ``int`` whenever that point is a grid
 point, departure slopes are compared by cross-multiplication, and only a
 crossing that falls between grid points becomes a ``Fraction``.
 
-Planarity is not tested pairwise.  Segments are swept through vertical
-strips between consecutive "interesting" x-coordinates: inside a strip
-every candidate segment runs wall to wall (endpoints sit on integer x),
-so two segments cross there iff their wall orders strictly invert, which
-an O(m log m) scan finds.  Touches *on* a wall are grouped by exact
-position and judged by one rule: a shared point must be a segment
-endpoint of everything meeting it, and if more than one edge is
-involved, the point must be the position of a tree node incident to all
-of them.  This is the whole legality of tree drawings -- fans at a
+Planarity is not tested pairwise.  The x-coordinates of the drawing's
+points are walls; between two consecutive walls every segment that is not
+vertical runs wall to wall, so two segments cross there iff their wall
+orders strictly invert.  Touches are judged by one rule: a shared point
+must be a segment endpoint of everything meeting it, and if more than one
+edge is involved, the point must be the position of a tree node incident
+to all of them.  This is the whole legality of tree drawings -- fans at a
 parent, chains through a node -- in one place.
+
+The verdict is decided by sorting.  Nodes and bends must be distinct
+points.  The segments, split at the walls into (strip, left y, right y)
+and sorted once, must hold no repeat (a collinear overlap) and no
+inversion (a crossing).  The points where segments cross interior walls
+must be distinct and off every node and bend, and among all these points,
+sorted, the two ends of each vertical segment must be neighbours.  Only a
+drawing that fails goes on to the walk, which groups every touch by its
+exact position and names the violations; the two agree on whether there
+are any.  A wide drawing, whose segments cross more interior walls than
+there are segments (a straight k-leaf fan crosses about k^2/4), goes
+straight to the walk, so that no segment is split twice.
 
 ``extract_rank_witness`` goes the other way: it reads a valid drawing
 and reconstructs the width certificate its geometry implies.
@@ -29,6 +39,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
+from operator import le
 from typing import Optional
 
 from .layout import Drawing, _extent, _prune
@@ -69,22 +81,31 @@ def _structural(t: Tree, d: Drawing):
 
     Returns (pos, lines): positions as plain int tuples and polylines
     deduplicated the same way, so downstream code can hash and compare.
+    A drawing of plain int pairs is checked whole; the point-by-point
+    loops run only for other points, repeated points or a mismatch.
     """
     if set(d.pos) != set(range(t.n)):
         raise DrawingMismatch("drawing and tree disagree on node ids")
-    pos = {}
-    for u, p in d.pos.items():
-        p = tuple(p)
-        # two plain ints settle it without a call; a bool is no coordinate
-        if len(p) != 2 or not (type(p[0]) is type(p[1]) is int
-                                or _is_json_int(p[0]) and _is_json_int(p[1])):
-            raise DrawingMismatch(f"position of node {u} is not an integer pair")
-        pos[u] = p
-    want = {(t.parent(c), c) for c in range(1, t.n)}
+    pos = dict(d.pos)
+    if not _int_pairs(pos.values()):
+        for u, p in d.pos.items():
+            p = tuple(p)
+            # two plain ints settle it without a call; a bool is no coordinate
+            if len(p) != 2 or not (type(p[0]) is type(p[1]) is int
+                                    or _is_json_int(p[0]) and _is_json_int(p[1])):
+                raise DrawingMismatch(f"position of node {u} is not an integer pair")
+            pos[u] = p
+    want = set(zip(t._parent[1:], range(1, t.n)))
     if set(d.edges) != want:
         missing = want - set(d.edges)
         extra = set(d.edges) - want
         raise DrawingMismatch(f"edge set mismatch (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
+    if _int_pairs(list(chain.from_iterable(d.edges.values()))):
+        for (p, c), pts in d.edges.items():
+            if len(pts) < 2 or pts[0] != pos[p] or pts[-1] != pos[c] or len(set(pts)) < len(pts):
+                break
+        else:
+            return pos, dict(d.edges)
     lines = {}
     for key, pts in d.edges.items():
         if len(pts) < 2:
@@ -104,14 +125,18 @@ def _structural(t: Tree, d: Drawing):
     return pos, lines
 
 
-def _departure(lines, key):
-    """The first segment of an edge as a vector (dx, dy); None when it climbs."""
-    pts = lines[key]
-    if len(pts) < 2:
-        return None
-    dx = pts[1][0] - pts[0][0]
-    dy = pts[1][1] - pts[0][1]
-    return None if dy > 0 else (dx, dy)
+def _int_pairs(points) -> bool:
+    """Every point a tuple of two plain ints (a bool is no coordinate)."""
+    return (set(map(type, points)) <= {tuple} and set(map(len, points)) <= {2}
+            and set(map(type, chain.from_iterable(points))) <= {int})
+
+
+def _departures(lines, v, kids) -> list:
+    """The first segment of each edge from v to kids as a vector (dx, dy);
+    None for an edge that climbs or has no segment."""
+    firsts = [lines[v, c][:2] for c in kids]
+    return [None if len(f) < 2 or f[1][1] > f[0][1] else (f[1][0] - f[0][0], f[1][1] - f[0][1])
+            for f in firsts]
 
 
 def _clockwise(a, b):
@@ -142,6 +167,52 @@ def _y_at(y1, dy, dx, dist):
 def _planarity(pos, lines, violations):
     """Append planarity violations (at most a handful; we stop digging at
     the first few per category -- the report is a verdict, not a census)."""
+    if not _planar_by_sorting(pos, lines):
+        _walk(pos, lines, violations)
+
+
+def _planar_by_sorting(pos, lines):
+    """True when sorting proves the drawing planar; False when it finds a
+    fault, and None, undecided, when the drawing is wide."""
+    vals = lines.values()
+    bends = [p for pts in vals for p in pts[1:-1]]
+    vertices = set(pos.values()).union(bends)
+    if len(vertices) < len(pos) + len(bends):
+        return False  # nodes share a position, or a bend repeats or sits on a node
+    segs = [(a, b) if a < b else (b, a) for pts in vals for a, b in zip(pts, pts[1:])]
+    walls = sorted({x for x, _ in vertices})
+    at = {x: i for i, x in enumerate(walls)}
+    nv = [(at[a[0]], at[b[0]], a, b) for a, b in segs if a[0] != b[0]]
+    if sum(i2 - i1 for i1, i2, _, _ in nv) > 2 * len(nv):
+        return None  # more interior wall crossings than segments
+    strips = [(i1, a[1], b[1]) for i1, _, a, b in nv]  # (strip, y on its left wall, y on its right)
+    inner = []  # interior wall crossings
+    for j, (i1, i2, (x1, y1), (x2, y2)) in enumerate(nv):
+        if i2 > i1 + 1:
+            prev = y1
+            for k in range(i1 + 1, i2):
+                y = _y_at(y1, y2 - y1, x2 - x1, walls[k] - x1)
+                inner.append((walls[k], y))
+                strips.append((k - 1, prev, y))
+                prev = y
+            strips[j] = (i2 - 1, prev, y2)
+    strips.sort()
+    right = [(k, yr) for k, _, yr in strips]
+    if not all(map(le, right, right[1:])):
+        return False  # a proper crossing
+    # two segments overlapping in a strip meet on both its walls, so the
+    # check below, or the one on vertices above, sees them too
+    points = vertices.union(inner)
+    if len(points) < len(vertices) + len(inner):
+        return False  # a wall crossing repeats or meets a vertex
+    # a vertical's ends are neighbours among all wall points, sorted, unless
+    # it overlaps another or a wall point lies strictly inside it
+    rank = dict(zip(sorted(points), range(len(points))))
+    return {rank[a] - rank[b] for a, b in segs if a[0] == b[0]} <= {-1}
+
+
+def _walk(pos, lines, violations):
+    """Name the planarity violations, wall group by wall group."""
     posmap = {}
     for u in sorted(pos):
         p = pos[u]
@@ -319,22 +390,27 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
                 strictly = False
                 violations.append(f"strictly_upward: edge {key} runs level at y={a[1]}")
 
-    kept = [len(_prune(pts)) for pts in lines.values()]
-    straight = all(k == 2 for k in kept)
+    # pruning keeps at most an edge's points, so only the longest edges
+    # can raise `kept`, the most points any edge keeps
+    kept = 0
+    for pts in sorted(lines.values(), key=len, reverse=True):
+        if len(pts) <= kept:
+            break
+        kept = max(kept, len(pts) if len(pts) == 2 else len(_prune(pts)))
+    straight = kept <= 2 and min(map(len, lines.values()), default=2) > 1
     if not straight:
         violations.append("straight_line: some edge bends")
 
     ordered = True
-    for v in range(t.n):
-        kids = t.children(v)
+    for v, kids in enumerate(t._children):
         if len(kids) < 2:
             continue
-        dirs = [_departure(lines, (v, c)) for c in kids]
+        dirs = _departures(lines, v, kids)
         if None in dirs:
             ordered = False
             violations.append(f"order_preserving: an edge at node {v} leaves upward")
             continue
-        if any(_clockwise(a, b) >= 0 for a, b in zip(dirs, dirs[1:])):
+        if max(map(_clockwise, dirs, dirs[1:])) >= 0:
             ordered = False
             violations.append(f"order_preserving: children of node {v} appear out of order")
 
@@ -351,7 +427,7 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
         straight_line=straight,
         width=hi - lo + 1,
         height=rows,
-        max_bends=max(max(kept, default=2) - 2, 0),
+        max_bends=max(kept - 2, 0),
         violations=violations,
         ok=True,
     )
@@ -364,21 +440,20 @@ def reorder_children_by_drawing(t: Tree, d: Drawing):
 
     Returns (tree, drawing) with fresh ids.  The drawing must be upward
     (no edge may leave its parent climbing) and fan directions must be
-    distinct; otherwise ValueError.
+    distinct; otherwise InputError.
     """
     pos, lines = _structural(t, d)
     order = {}
     for v in range(t.n):
         kids = t.children(v)
-        dirs = {}
+        dirs = dict(zip(kids, _departures(lines, v, kids)))
         for c in kids:
-            dirs[c] = _departure(lines, (v, c))
             if dirs[c] is None:
-                raise ValueError(f"edge ({v}, {c}) leaves its parent upward")
+                raise InputError(f"edge ({v}, {c}) leaves its parent upward")
         order[v] = sorted(kids, key=cmp_to_key(lambda a, b: _clockwise(dirs[a], dirs[b])))
         for a, b in zip(order[v], order[v][1:]):
             if _clockwise(dirs[a], dirs[b]) == 0:
-                raise ValueError(f"coincident edge directions at node {v}")
+                raise InputError(f"coincident edge directions at node {v}")
 
     mapping = {}
     trail = []
@@ -418,7 +493,8 @@ def _witness(t: Tree, d: Drawing, report: VerifyReport) -> Optional[RankWitness]
         return None
     x0, y0 = d.pos[t.root]
     W = report.width
-    X = x0 - _extent(d.pos, d.edges.values())[0] + 1
+    # for n >= 2 every node ends an edge, so the edges hold the smallest x
+    X = x0 - min(p[0] for pts in d.edges.values() for p in pts) + 1
 
     # nodes of each root subtree
     owner = {c: i for i, c in enumerate(t.children(t.root), start=1)}

@@ -31,11 +31,18 @@ from uptree.tree import (
     parse_tree,
     tree_from_json,
 )
-from uptree.verify import DrawingMismatch, check_drawing
+from uptree.verify import DrawingMismatch, check_drawing, reorder_children_by_drawing
 
 PAIR = parse_tree("(())")
 PAIR_DRAWING = Drawing(mode="unordered", pos={0: (1, 2), 1: (1, 1)},
                        edges={(0, 1): [(1, 2), (1, 1)]})
+FORK = parse_tree("(()())")
+# the edge to node 2 leaves its parent upward
+FORK_UP = Drawing(mode="unordered", pos={0: (2, 2), 1: (1, 1), 2: (3, 3)},
+                  edges={(0, 1): [(2, 2), (1, 1)], (0, 2): [(2, 2), (3, 3)]})
+# both edges leave the root down and to the left, one twice as far
+FORK_SAME = Drawing(mode="unordered", pos={0: (3, 3), 1: (2, 2), 2: (1, 1)},
+                    edges={(0, 1): [(3, 3), (2, 2)], (0, 2): [(3, 3), (1, 1)]})
 HUGE = Drawing(mode="ordered1", pos={0: (1, 10**8), 1: (1, 1)},
                edges={(0, 1): [(1, 10**8), (1, 1)]})
 
@@ -58,6 +65,8 @@ INPUT_ERRORS = {
     "drawing_from_json-mode": lambda: drawing_from_json(
         {"mode": "sideways", "positions": {"0": [1, 1]}, "edges": []}),
     "render_ascii": lambda: render_ascii(HUGE),
+    "reorder_children_by_drawing-upward": lambda: reorder_children_by_drawing(FORK, FORK_UP),
+    "reorder_children_by_drawing-coincident": lambda: reorder_children_by_drawing(FORK, FORK_SAME),
     "enumerate_trees-n": lambda: next(enumerate_trees(0)),
     "enumerate_trees-cap": lambda: next(enumerate_trees(16)),
     "rank_bruteforce": lambda: rank_bruteforce(gen_path(12)),

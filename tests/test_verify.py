@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomcheck import check as pairwise
+from uptree import verify
 from uptree.layout import (
     Drawing,
     draw_ordered,
@@ -33,7 +34,7 @@ from uptree.verify import (
     extract_rank_witness,
     reorder_children_by_drawing,
 )
-from test_layout import frozen_corpus
+from test_layout import FROZEN_DRAW, frozen_corpus
 
 EXAMPLE = "(()()(()()))"
 
@@ -218,12 +219,40 @@ PAIR = parse_tree("(())")
     ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1, False), (1, 1)], "non-integer point"),
     ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1.5, 1), (1, 1)], "non-integer point"),
     ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1,), (1, 1)], "non-integer point"),
+    ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1, 1, 0), (1, 1)], "non-integer point"),
+    ({0: [1, 2.5], 1: [1, 1]}, [[1, 2.5], [1, 1]], "position of node 0 is not an integer pair"),
+    ({0: [1, 2], 1: [1, 1]}, [[1, 2], [True, 1], [1, 1]], "non-integer point"),
 ], ids=["bool-position", "float-position", "triple-position", "bool-point", "float-point",
-        "short-point"])
+        "short-point", "triple-point", "list-float-position", "list-bool-point"])
 def test_non_integer_coordinates_raise(pos, pts, message):
     # a bool is not a coordinate, as in drawing_from_json
     with pytest.raises(DrawingMismatch, match=message):
         check_drawing(PAIR, Drawing("unordered", pos, {(0, 1): pts}))
+
+
+FORK = parse_tree("(()())")
+
+
+# reports of drawings that the whole-drawing test in _structural hands on
+# to the point-by-point loop: lists are read as tuples and repeated points
+# dropped, so a one-point edge [P, P] does not run level
+@pytest.mark.parametrize("t,pos,edges,flags,violations", [
+    (PAIR, {0: [1, 2], 1: [1, 1]}, {(0, 1): [[1, 2], [1, 1]]}, (True, True, True, 1, 2, 0), []),
+    (FORK, {0: [2, 5], 1: [1, 1], 2: [3, 3]},
+     {(0, 1): [[2, 5], [4, 4], [1, 1]], (0, 2): [[2, 5], [3, 3]]}, (False, False, False, 4, 4, 1),
+     ["straight_line: some edge bends",
+      "order_preserving: children of node 0 appear out of order",
+      "planar: node 2 lies inside edge (0, 1) segment 1"]),
+    (PAIR, {0: (1, 2), 1: (1, 1)}, {(0, 1): [(1, 2), (1, 2), (1, 1)]}, (True, True, True, 1, 2, 0), []),
+    (PAIR, {0: (1, 1), 1: (1, 1)}, {(0, 1): [(1, 1), (1, 1)]}, (False, True, False, 1, 1, 0),
+     ["straight_line: some edge bends", "planar: nodes 0 and 1 share position (1, 1)"]),
+], ids=["list-points", "list-points-through-node", "repeated-first-point", "shared-point-edge"])
+def test_point_forms_give_the_same_report(t, pos, edges, flags, violations):
+    rep = check_drawing(t, Drawing("unordered", pos, edges), ("planar", "upward", "order_preserving"))
+    assert (rep.planar, rep.order_preserving, rep.straight_line,
+            rep.width, rep.height, rep.max_bends) == flags
+    assert rep.upward and rep.strictly_upward
+    assert rep.violations == violations
 
 
 def test_unknown_require_name_rejected(example_drawing):
@@ -426,26 +455,32 @@ def broken_corpus(count=1500):
             d = draw_ordered(t)
             if mode == "ordered1":
                 d = reduce_bends(d, t)
-        pos = dict(d.pos)
-        edges = {key: list(pts) for key, pts in d.edges.items()}
-        xs = [p[0] for p in pos.values()]
-        ys = [p[1] for p in pos.values()]
-        x0, x1, y0, y1 = min(xs) - 1, max(xs) + 1, min(ys) - 1, max(ys) + 1
-        for _ in range(rng.randint(1, 4)):
-            if rng.random() < 0.4:
-                u = rng.randrange(t.n)
-                p = (rng.randint(x0, x1), rng.randint(y0, y1))
-                pos[u] = p
-                for key, pts in edges.items():
-                    if key[0] == u:
-                        pts[0] = p
-                    if key[1] == u:
-                        pts[-1] = p
-            elif edges:
-                pts = edges[rng.choice(sorted(edges))]
-                pts.insert(rng.randint(1, len(pts) - 1),
-                           (rng.randint(x0, x1), rng.randint(y0, y1)))
-        yield t, Drawing(mode=d.mode, pos=pos, edges=edges)
+        yield t, mutated(t, d, rng, rng.randint(1, 4))
+
+
+def mutated(t, d, rng, count):
+    """A copy of d after `count` mutations: each moves a node to a random
+    point near the drawing (its edges follow) or inserts a random bend."""
+    pos = dict(d.pos)
+    edges = {key: list(pts) for key, pts in d.edges.items()}
+    xs = [p[0] for p in pos.values()]
+    ys = [p[1] for p in pos.values()]
+    x0, x1, y0, y1 = min(xs) - 1, max(xs) + 1, min(ys) - 1, max(ys) + 1
+    for _ in range(count):
+        if rng.random() < 0.4:
+            u = rng.randrange(t.n)
+            p = (rng.randint(x0, x1), rng.randint(y0, y1))
+            pos[u] = p
+            for key, pts in edges.items():
+                if key[0] == u:
+                    pts[0] = p
+                if key[1] == u:
+                    pts[-1] = p
+        elif edges:
+            pts = edges[rng.choice(sorted(edges))]
+            pts.insert(rng.randint(1, len(pts) - 1),
+                       (rng.randint(x0, x1), rng.randint(y0, y1)))
+    return Drawing(mode=d.mode, pos=pos, edges=edges)
 
 
 # one phrase of each violation message the corpus must produce
@@ -493,3 +528,82 @@ def test_broken_corpus_has_every_violation():
             if "/" in v:
                 seen.add("off-grid")
     assert seen == set(VIOLATION_KINDS) | {"off-grid"}
+
+
+# --------------------------------------- the sorting decision and the walk
+
+
+def assert_decision_agrees(t, d):
+    """The sorting decision is sound everywhere (when it certifies a
+    drawing, the walk names nothing) and complete wherever the wide guard
+    lets it decide (when the walk names nothing, it certifies).  Returns
+    the decision: True, False, or None for a wide drawing."""
+    pos, lines = verify._structural(t, d)
+    walked = []
+    verify._walk(pos, lines, walked)
+    decided = verify._planar_by_sorting(pos, lines)
+    if decided is not None:
+        assert decided == (walked == []), walked
+    return decided
+
+
+def test_decision_agrees_with_walk_on_broken_corpus():
+    seen = {assert_decision_agrees(t, d) for t, d in broken_corpus()}
+    assert seen == {True, False, None}
+
+
+def tiny_grid_drawing(n, cols, seed):
+    """A drawing of a random n-node tree on `cols` columns and four rows.
+
+    Edges take up to two bends, half of them straight above or below the
+    point before, so edges climb and run level, points fall inside
+    vertical segments and segments touch between grid points.
+    """
+    rng = random.Random(seed)
+    t = gen_random_tree(n, seed=seed)
+    pos = {v: (rng.randint(1, cols), rng.randint(0, 3)) for v in range(n)}
+    edges = {}
+    for c in range(1, n):
+        pts = [pos[t.parent(c)]]
+        for _ in range(rng.randint(0, 2)):
+            x = pts[-1][0] if rng.random() < 0.5 else rng.randint(1, cols)
+            pts.append((x, rng.randint(0, 3)))
+        edges[(t.parent(c), c)] = pts + [pos[c]]
+    return t, Drawing(mode="unordered", pos=pos, edges=edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(2, 5), cols=st.integers(2, 4), seed=st.integers(0, 10**6))
+def test_decision_agrees_with_walk_on_tiny_grids(n, cols, seed):
+    assert_decision_agrees(*tiny_grid_drawing(n, cols, seed))
+
+
+def test_tiny_grids_hold_every_hard_case():
+    seen = set()
+    decided = set()
+    for seed in range(300):
+        t, d = tiny_grid_drawing(2 + seed % 4, 2 + seed % 3, seed)
+        decided.add(assert_decision_agrees(t, d))
+        for v in check_drawing(t, d, ()).violations:
+            seen.update(k for k in ("climbs", "runs level", "lies inside", "touches") if k in v)
+            if "/" in v:
+                seen.add("off-grid")
+    assert seen == {"climbs", "runs level", "lies inside", "touches", "off-grid"}
+    assert decided >= {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(20, 120), seed=st.integers(0, 10**6),
+       mode=st.sampled_from(["unordered", "ordered3", "ordered1"]), count=st.integers(1, 2))
+def test_decision_agrees_with_walk_on_mutated_constructions(n, seed, mode, count):
+    t = gen_random_tree(n, seed=seed)
+    assert_decision_agrees(t, mutated(t, FROZEN_DRAW[mode](t), random.Random(seed), count))
+
+
+def test_constructions_never_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the walk ran on a construction")
+    monkeypatch.setattr(verify, "_walk", walk)
+    for t in frozen_corpus():
+        for mode in ("unordered", "ordered3", "ordered1"):
+            assert check_drawing(t, FROZEN_DRAW[mode](t), ("planar",)).ok
