@@ -206,9 +206,17 @@ def _planar_by_sorting(pos, lines):
     if len(points) < len(vertices) + len(inner):
         return False  # a wall crossing repeats or meets a vertex
     # a vertical's ends are neighbours among all wall points, sorted, unless
-    # it overlaps another or a wall point lies strictly inside it
-    rank = dict(zip(sorted(points), range(len(points))))
-    return {rank[a] - rank[b] for a, b in segs if a[0] == b[0]} <= {-1}
+    # it overlaps another or a wall point lies strictly inside it.  Each
+    # point sorts by one int, x·m + 2y for a vertex and x·m + 2·floor(y) + 1
+    # for a wall crossing (which is no vertex), so no Fraction is compared.
+    ys = [y for _, y in vertices]
+    m = 2 * (max(ys) - min(ys)) + 2
+    keys = [x * m + 2 * y for x, y in vertices]
+    keys += [x * m + 2 * (y.numerator // y.denominator) + 1 for x, y in inner]
+    keys.sort()
+    rank = dict(zip(keys, range(len(keys))))
+    return {rank[a[0] * m + 2 * a[1]] - rank[b[0] * m + 2 * b[1]]
+            for a, b in segs if a[0] == b[0]} <= {-1}
 
 
 def _walk(pos, lines, violations):
