@@ -19,13 +19,13 @@ parent, chains through a node -- in one place.
 
 The verdict is decided by sorting.  Nodes and bends must be distinct
 points.  The segments, split at the walls into (strip, left y, right y)
-and sorted once, must hold no repeat (a collinear overlap) and no
-inversion (a crossing).  The points where segments cross interior walls
-must be distinct and off every node and bend, and among all these points,
-sorted, the two ends of each vertical segment must be neighbours.  Only a
-drawing that fails goes on to the walk, which groups every touch by its
-exact position and names the violations; the two agree on whether there
-are any.  A wide drawing, whose segments cross more interior walls than
+and sorted once, must hold no inversion (a crossing).  The points where
+segments cross interior walls must be distinct and off every node and
+bend (so no two segments overlap), and among all these points, sorted,
+the two ends of each vertical segment must be neighbours.  Only a drawing
+that fails goes on to the walk, which groups every touch by its exact
+position and names the violations; the two agree on whether there are
+any.  A wide drawing, whose segments cross more interior walls than
 there are segments (a straight k-leaf fan crosses about k^2/4), goes
 straight to the walk, so that no segment is split twice.
 
