@@ -39,7 +39,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
 from operator import le
 from typing import Optional
 
@@ -81,31 +80,22 @@ def _structural(t: Tree, d: Drawing):
 
     Returns (pos, lines): positions as plain int tuples and polylines
     deduplicated the same way, so downstream code can hash and compare.
-    A drawing of plain int pairs is checked whole; the point-by-point
-    loops run only for other points, repeated points or a mismatch.
     """
     if set(d.pos) != set(range(t.n)):
         raise DrawingMismatch("drawing and tree disagree on node ids")
-    pos = dict(d.pos)
-    if not _int_pairs(pos.values()):
-        for u, p in d.pos.items():
-            p = tuple(p)
-            # two plain ints settle it without a call; a bool is no coordinate
-            if len(p) != 2 or not (type(p[0]) is type(p[1]) is int
-                                    or _is_json_int(p[0]) and _is_json_int(p[1])):
-                raise DrawingMismatch(f"position of node {u} is not an integer pair")
-            pos[u] = p
+    pos = {}
+    for u, p in d.pos.items():
+        p = tuple(p)
+        # two plain ints settle it without a call; a bool is no coordinate
+        if len(p) != 2 or not (type(p[0]) is type(p[1]) is int
+                                or _is_json_int(p[0]) and _is_json_int(p[1])):
+            raise DrawingMismatch(f"position of node {u} is not an integer pair")
+        pos[u] = p
     want = set(zip(t._parent[1:], range(1, t.n)))
     if set(d.edges) != want:
         missing = want - set(d.edges)
         extra = set(d.edges) - want
         raise DrawingMismatch(f"edge set mismatch (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
-    if _int_pairs(list(chain.from_iterable(d.edges.values()))):
-        for (p, c), pts in d.edges.items():
-            if len(pts) < 2 or pts[0] != pos[p] or pts[-1] != pos[c] or len(set(pts)) < len(pts):
-                break
-        else:
-            return pos, dict(d.edges)
     lines = {}
     for key, pts in d.edges.items():
         if len(pts) < 2:
@@ -123,12 +113,6 @@ def _structural(t: Tree, d: Drawing):
             raise DrawingMismatch(f"edge {key} does not run from its parent to its child")
         lines[key] = clean
     return pos, lines
-
-
-def _int_pairs(points) -> bool:
-    """Every point a tuple of two plain ints (a bool is no coordinate)."""
-    return (set(map(type, points)) <= {tuple} and set(map(len, points)) <= {2}
-            and set(map(type, chain.from_iterable(points))) <= {int})
 
 
 def _departures(lines, v, kids) -> list:
@@ -175,16 +159,17 @@ def _planar_by_sorting(pos, lines):
     """True when sorting proves the drawing planar; False when it finds a
     fault, and None, undecided, when the drawing is wide."""
     vals = lines.values()
-    bends = [p for pts in vals for p in pts[1:-1]]
-    vertices = set(pos.values()).union(bends)
-    if len(vertices) < len(pos) + len(bends):
-        return False  # nodes share a position, or a bend repeats or sits on a node
     segs = [(a, b) if a < b else (b, a) for pts in vals for a, b in zip(pts, pts[1:])]
-    walls = sorted({x for x, _ in vertices})
+    # every node ends an edge once there is one, so the points hold the walls
+    walls = sorted({x for pts in vals for x, _ in pts})
     at = {x: i for i, x in enumerate(walls)}
     nv = [(at[a[0]], at[b[0]], a, b) for a, b in segs if a[0] != b[0]]
     if sum(i2 - i1 for i1, i2, _, _ in nv) > 2 * len(nv):
         return None  # more interior wall crossings than segments
+    bends = [p for pts in vals for p in pts[1:-1]]
+    vertices = set(pos.values()).union(bends)
+    if len(vertices) < len(pos) + len(bends):
+        return False  # nodes share a position, or a bend repeats or sits on a node
     strips = [(i1, a[1], b[1]) for i1, _, a, b in nv]  # (strip, y on its left wall, y on its right)
     inner = []  # interior wall crossings
     for j, (i1, i2, (x1, y1), (x2, y2)) in enumerate(nv):
@@ -398,14 +383,8 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
                 strictly = False
                 violations.append(f"strictly_upward: edge {key} runs level at y={a[1]}")
 
-    # pruning keeps at most an edge's points, so only the longest edges
-    # can raise `kept`, the most points any edge keeps
-    kept = 0
-    for pts in sorted(lines.values(), key=len, reverse=True):
-        if len(pts) <= kept:
-            break
-        kept = max(kept, len(pts) if len(pts) == 2 else len(_prune(pts)))
-    straight = kept <= 2 and min(map(len, lines.values()), default=2) > 1
+    kept = [len(pts) if len(pts) == 2 else len(_prune(pts)) for pts in lines.values()]
+    straight = all(k == 2 for k in kept)
     if not straight:
         violations.append("straight_line: some edge bends")
 
@@ -435,7 +414,7 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
         straight_line=straight,
         width=hi - lo + 1,
         height=rows,
-        max_bends=max(kept - 2, 0),
+        max_bends=max(max(kept, default=2) - 2, 0),
         violations=violations,
         ok=True,
     )

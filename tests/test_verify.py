@@ -233,9 +233,9 @@ def test_non_integer_coordinates_raise(pos, pts, message):
 FORK = parse_tree("(()())")
 
 
-# reports of drawings that the whole-drawing test in _structural hands on
-# to the point-by-point loop: lists are read as tuples and repeated points
-# dropped, so a one-point edge [P, P] does not run level
+# reports of drawings in other point forms: _structural reads lists as
+# tuples and drops repeated points, so a one-point edge [P, P] does not run
+# level
 @pytest.mark.parametrize("t,pos,edges,flags,violations", [
     (PAIR, {0: [1, 2], 1: [1, 1]}, {(0, 1): [[1, 2], [1, 1]]}, (True, True, True, 1, 2, 0), []),
     (FORK, {0: [2, 5], 1: [1, 1], 2: [3, 3]},
