@@ -36,13 +36,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .layout import (
-    draw_ordered,
+    _ordered,
     draw_unordered,
     drawing_from_json,
     drawing_to_json,
     layout_stats,
     prune_collinear,
-    reduce_bends,
 )
 from .ranking import rank, rank_witness_to_json
 from .render import render_ascii, render_svg
@@ -141,10 +140,9 @@ def _cmd_draw(args) -> int:
     t = _load_tree(args.tree)
     if args.mode == "unordered":
         d = draw_unordered(t)
-    elif args.mode == "ordered3":
-        d = draw_ordered(t)
     else:
-        d = reduce_bends(draw_ordered(t), t)
+        # ordered1 ranks once and builds its own drawing, not an ordered3 one first
+        d = _ordered(t, None, args.mode == "ordered1")
     if args.prune_collinear:
         d = prune_collinear(d)
     out = drawing_to_json(d)

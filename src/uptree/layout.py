@@ -227,14 +227,17 @@ def _assemble(boxes, cw, one_bend):
     return W, base + 1, place
 
 
-def _build_ordered(t: Tree, ann: RankAnnotation, one_bend: bool) -> list:
-    """Frames for every node, children before parents.
+def _ordered(t: Tree, ann: Optional[RankAnnotation], one_bend: bool) -> Drawing:
+    """The ordered3 drawing, or the ordered1 one with `one_bend`, from the
+    corner witnesses in `ann` (ranked here if None), children first.
 
     A right witness runs the left assembler on the mirrored, reversed
     child boxes and mirrors its output back.  The two mirror images of
     each child cancel, so the child frame is only shifted, to column
     W - width - dcol, and the root lands in column W.
     """
+    if ann is None:
+        ann = rank(t)
     frames: list = [None] * t.n
     for v in t.bottom_up():
         kids = t.children(v)
@@ -262,7 +265,7 @@ def _build_ordered(t: Tree, ann: RankAnnotation, one_bend: bool) -> list:
             for (w, _, _), (dc, dr, pts) in zip(boxes, reversed(place))
         ]
         frames[v] = (W, height, W, place)
-    return frames
+    return _finalize(t, frames, "ordered1" if one_bend else "ordered3")
 
 
 def draw_ordered(t: Tree, ann: Optional[RankAnnotation] = None) -> Drawing:
@@ -274,9 +277,7 @@ def draw_ordered(t: Tree, ann: Optional[RankAnnotation] = None) -> Drawing:
     stacked at the bottom, flush left.  A right witness mirrors the whole
     assembly, putting the root at the top-right corner.
     """
-    if ann is None:
-        ann = rank(t)
-    return _finalize(t, _build_ordered(t, ann, False), "ordered3")
+    return _ordered(t, ann, False)
 
 
 def reduce_bends(d: Drawing, t: Tree) -> Drawing:
@@ -290,7 +291,7 @@ def reduce_bends(d: Drawing, t: Tree) -> Drawing:
         raise ValueError(f"reduce_bends needs an ordered3 drawing, got {d.mode!r}")
     if set(d.pos) != set(t.preorder()):
         raise ValueError("drawing and tree disagree on node ids")
-    return _finalize(t, _build_ordered(t, rank(t), True), "ordered1")
+    return _ordered(t, None, True)
 
 
 # ----------------------------------------------------------------- stats
@@ -392,14 +393,15 @@ def drawing_from_json(obj) -> Drawing:
         raise InputError("drawing JSON must be an object")
     try:
         mode = obj["mode"]
-        # two plain ints settle a point without a call
+        # plain ints settle a point or an edge end without a call
         pos = {
             _json_node(u): (x, y) if type(x) is type(y) is int else (_json_int(x), _json_int(y))
             for u, (x, y) in obj["positions"].items()
         }
         edges = {}
         for e in obj["edges"]:
-            key = (_json_int(e["from"]), _json_int(e["to"]))
+            key = (p if type(p := e["from"]) is int else _json_int(p),
+                   c if type(c := e["to"]) is int else _json_int(c))
             if key in edges:
                 raise ValueError(f"duplicate edge {key[0]} -> {key[1]}")
             edges[key] = [

@@ -11,6 +11,8 @@ than CPython's default recursion limit.
 from __future__ import annotations
 
 import random
+from array import array
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -202,19 +204,17 @@ def parse_tree(text: str) -> Tree:
 
 
 def serialize_tree(t: Tree) -> str:
-    """Canonical label-free parenthesis form; inverse of parse_tree on structures."""
-    out = []
-    stack = [(t.root, False)]
-    while stack:
-        v, closing = stack.pop()
-        if closing:
-            out.append(")")
-            continue
-        out.append("(")
-        stack.append((v, True))
-        for c in reversed(t.children(v)):
-            stack.append((c, False))
-    return "".join(out)
+    """Canonical label-free parenthesis form; inverse of parse_tree on structures.
+
+    Each node's "(" is followed by the ")" of every node whose subtree ends
+    with it: in preorder, depth[v] - depth[v + 1] + 1 of them, where
+    depth[n] = 0.  The depths sit in an ``array``, 8 bytes a node.
+    """
+    par = t._parent
+    depth = array("l", [0]) * (len(par) + 1)
+    for v in range(1, len(par)):
+        depth[v] = depth[par[v]] + 1
+    return "".join("(" + ")" * (a - b + 1) for a, b in zip(depth, islice(depth, 1, None)))
 
 
 def tree_to_json(t: Tree) -> dict:
@@ -282,25 +282,32 @@ def tree_from_json(obj) -> Tree:
             if c in seen_child or c == root:
                 raise ParseError(f"node {c} has more than one parent", 0)
             seen_child.add(c)
-    # Renumber in preorder: the i-th node popped gets id i.  ``above``
-    # runs beside ``stack`` with the new id of each waiting node's parent.
+    order, parent = _preorder_walk(root, kids)
+    if len(order) != len(kids):
+        raise ParseError("tree JSON is not connected", 0)
+    labels = labels_raw and {i: labels_raw[v] for i, v in enumerate(order) if v in labels_raw}
+    return Tree._preorder(parent, labels)
+
+
+def _preorder_walk(root, rows) -> tuple:
+    """(order, parent): the ids under `root` in preorder, where ``rows[v]``
+    lists v's children left to right, and for each its parent's new id,
+    an index into order (-1 for the root).  Nodes not under `root` are
+    left out."""
+    order: list = []
     parent: list[int] = []
-    labels = {}
     stack = [root]
-    above = [-1]
+    above = [-1]  # beside ``stack``: the new id of each waiting node's parent
     while stack:
         v = stack.pop()
-        i = len(parent)
+        i = len(order)
+        order.append(v)
         parent.append(above.pop())
-        if v in labels_raw:
-            labels[i] = labels_raw[v]
-        cs = kids[v]
+        cs = rows[v]
         if cs:
             stack.extend(reversed(cs))
             above.extend([i] * len(cs))
-    if len(parent) != len(kids):
-        raise ParseError("tree JSON is not connected", 0)
-    return Tree._preorder(parent, labels)
+    return order, parent
 
 
 def gen_path(k: int) -> Tree:

@@ -44,7 +44,7 @@ from typing import Optional
 
 from .layout import Drawing, _extent, _prune
 from .ranking import RankWitness, rank, validate_rank_witness
-from .tree import InputError, Tree, _is_json_int
+from .tree import InputError, Tree, _is_json_int, _preorder_walk
 
 __all__ = [
     "DrawingMismatch",
@@ -442,15 +442,8 @@ def reorder_children_by_drawing(t: Tree, d: Drawing):
             if _clockwise(dirs[a], dirs[b]) == 0:
                 raise InputError(f"coincident edge directions at node {v}")
 
-    mapping = {}
-    trail = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        mapping[v] = len(trail)
-        trail.append(v)
-        stack.extend(reversed(order[v]))
-    parent = [-1] + [mapping[t.parent(v)] for v in trail[1:]]
+    trail, parent = _preorder_walk(t.root, order)
+    mapping = {v: i for i, v in enumerate(trail)}
     labels = {mapping[v]: t.label(v) for v in range(t.n) if t.label(v) is not None}
     t2 = Tree._preorder(parent, labels)
     d2 = Drawing(
