@@ -12,7 +12,8 @@ import pytest
 import uptree
 import uptree.verify as verify
 from uptree.cli import main
-from uptree.layout import Drawing, drawing_from_json
+from uptree.layout import (Drawing, draw_ordered, drawing_from_json, drawing_to_json,
+                           reduce_bends)
 from uptree.ranking import rank_witness_to_json
 from uptree.tree import gen_path, parse_tree, serialize_tree
 
@@ -163,6 +164,25 @@ def test_draw_ordered1_prunes_collinear(capsys):
     report = verify.check_drawing(parse_tree(tree), drawing_from_json(pruned),
                                   ("planar", "upward", "order_preserving"))
     assert report.ok and report.max_bends <= 1
+
+
+def test_draw_ordered1_ranks_once(capsys, monkeypatch):
+    # ordered1 builds its own drawing: one rank, and the same text as
+    # reduce_bends over an ordered3 drawing
+    import uptree.cli as cli
+    import uptree.layout as layout
+
+    t = parse_tree("((())(()((()((()())))(()(()))(()()((()(())())(()))))))")
+    want = json.dumps(drawing_to_json(reduce_bends(draw_ordered(t), t)),
+                      sort_keys=True, indent=2) + "\n"
+    calls = []
+    real = layout.rank
+    for module in (cli, layout):
+        monkeypatch.setattr(module, "rank", lambda t: calls.append(t) or real(t))
+    code, out, _ = run(capsys, "draw", serialize_tree(t), "--mode", "ordered1")
+    assert code == 0
+    assert len(calls) == 1
+    assert out == want
 
 
 # ---------------------------------------------------------------- verify

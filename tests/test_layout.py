@@ -294,6 +294,38 @@ def test_deep_trees_all_modes(t):
     assert s2.max_bends_per_edge <= 1
 
 
+# The paper's guarantees at n = 10^5, each drawing checked exactly: width
+# rpw (unordered) or rank, height n (unordered) or at most 2n - 1 (ordered3),
+# at most 0 / 3 / 1 bends.  About 20 s of the tier-1 run.
+GUARANTEE_TREES = {
+    "path100000": lambda: gen_path(100_000),
+    "hpd16": lambda: gen_hpd_family(16),
+    "random100000": lambda: gen_random_tree(100_000, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARANTEE_TREES))
+def test_guarantees_at_1e5(name):
+    t = GUARANTEE_TREES[name]()
+    n = t.n
+    ann = rank(t)
+    for mode, d, width, bends in (
+        ("unordered", draw_unordered(t), rooted_pathwidth(t).root_value(), 0),
+        ("ordered3", draw_ordered(t, ann), ann.root_rank(), 3),
+        ("ordered1", reduce_bends(draw_ordered(t, ann), t), ann.root_rank(), 1),
+    ):
+        rep = check_drawing(t, d, require=("planar", "strictly_upward",
+                                           "straight_line" if mode == "unordered"
+                                           else "order_preserving"))
+        assert rep.ok, (mode, rep.violations)
+        assert rep.width == width, mode
+        assert rep.max_bends <= bends, mode
+        if mode == "unordered":
+            assert rep.height == n
+        elif mode == "ordered3":
+            assert rep.height <= 2 * n - 1
+
+
 # ------------------------------------------------------------ bad input
 
 
@@ -359,6 +391,32 @@ def test_from_json_rejects_non_integers(where, value):
     good = drawing_to_json(draw_ordered(parse_tree("(())")))
     with pytest.raises(ValueError, match="not an integer"):
         drawing_from_json(_spoil(good, where, value))
+
+
+@pytest.mark.parametrize("ends,message", [
+    ({"from": True}, "True is not an integer"),  # before the missing "to"
+    ({"to": 1}, "'from'"),
+    ({"from": 0}, "'to'"),
+    ({"from": 0, "to": False}, "False is not an integer"),
+    ({"from": 0.0, "to": 1.5}, "0.0 is not an integer"),
+    ({"from": [0], "to": 1}, "[0] is not an integer"),
+])
+def test_from_json_edge_end_messages(ends, message):
+    obj = {"mode": "unordered", "positions": {"0": [1, 2], "1": [1, 1]},
+           "edges": [dict(ends, points=[[1, 2], [1, 1]])]}
+    with pytest.raises(ValueError) as err:
+        drawing_from_json(obj)
+    assert str(err.value) == f"malformed drawing JSON: {message}"
+
+
+def test_from_json_reads_plain_ints_without_calls(monkeypatch):
+    import uptree.layout as layout
+
+    obj = drawing_to_json(draw_ordered(gen_random_tree(300, seed=1)))
+    calls = []
+    monkeypatch.setattr(layout, "_json_int", lambda v: calls.append(v) or v)
+    assert drawing_to_json(drawing_from_json(obj)) == obj
+    assert calls == []
 
 
 # ------------------------------------------------------------ roundtrip

@@ -306,6 +306,61 @@ def test_loaders_round_trip_at_1e5(make):
 
 
 
+# paren text of any small tree; hypothesis shrinks it node by node
+TREE_TEXT = st.recursive(st.just("()"), lambda kids: st.lists(kids, max_size=4).map(
+    lambda ks: "(" + "".join(ks) + ")"), max_leaves=40)
+
+
+def _stack_serialize(t):
+    """The stack walk serialize_tree replaced: one (node, closing) pair a node."""
+    out, stack = [], [(0, False)]
+    while stack:
+        v, closing = stack.pop()
+        if closing:
+            out.append(")")
+            continue
+        out.append("(")
+        stack.append((v, True))
+        stack.extend((c, False) for c in reversed(t.children(v)))
+    return "".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREE_TEXT)
+def test_serialize_is_the_text_parsed(text):
+    t = parse_tree(text)
+    assert serialize_tree(t) == text == _stack_serialize(t)
+    assert parse_tree(serialize_tree(t)) == t
+
+
+@pytest.mark.parametrize("make", [lambda: gen_path(1), lambda: gen_path(10**5),
+                                  lambda: gen_hpd_family(16)], ids=["n1", "path", "hpd16"])
+def test_serialize_round_trip_large(make):
+    t = make()
+    text = serialize_tree(t)
+    assert text == _stack_serialize(t)
+    assert parse_tree(text) == t
+
+
+@settings(max_examples=150, deadline=None)
+@given(TREE_TEXT, st.randoms(use_true_random=False))
+def test_json_with_permuted_ids_loads_like_parse_tree(text, rnd):
+    # any distinct ids, nodes in any order: the loader renumbers in preorder
+    t = parse_tree(text)
+    labels = {v: f"L{v}" for v in range(t.n) if rnd.random() < 0.4}
+    ids = rnd.sample(range(-3 * t.n, 3 * t.n), t.n)
+    nodes = [{"id": ids[v], "children": [ids[c] for c in t.children(v)]} for v in range(t.n)]
+    for v, lab in labels.items():
+        nodes[v]["label"] = lab
+    rnd.shuffle(nodes)
+    got = tree_from_json({"root": ids[0], "nodes": nodes})
+    rest = text.split("(")[1:]  # rest[v] follows the '(' of node v
+    want = parse_tree("".join(labels.get(v, "") + "(" + r for v, r in enumerate(rest)))
+    assert got == want == t
+    assert [got.parent(v) for v in range(t.n)] == [want.parent(v) for v in range(t.n)]
+    assert [got.label(v) for v in range(t.n)] == [want.label(v) for v in range(t.n)]
+
+
 def _generated():
     yield from (("path", k, gen_path(k)) for k in (1, 2, 50, 10**5))
     yield from (("binary", h, gen_complete_binary(h)) for h in range(1, 18))

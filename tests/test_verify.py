@@ -358,6 +358,41 @@ def test_reorder_matches_drawing_order():
         sorted(s1[c] for c in t.children(t.root))
 
 
+def _shuffled_children(t, rnd):
+    """t with every child list shuffled, each node labelled with its id in t."""
+    out, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            out.append(")")
+            continue
+        out.append(f"{v}(")
+        stack.append(-1)
+        stack.extend(reversed(rnd.sample(t.children(v), t.degree(v))))
+    return parse_tree("".join(out))
+
+
+@pytest.mark.parametrize("mode", ["ordered3", "ordered1"])
+def test_reorder_undoes_shuffled_children(mode):
+    # the drawing fixes the order, so reordering gives back the drawn tree,
+    # its drawing and the labels, whatever order the children were listed in
+    rnd = random.Random(13)
+    for t in tree_pool() + [gen_random_tree(400, seed=s) for s in range(3)]:
+        d = draw_ordered(t)
+        if mode == "ordered1":
+            d = reduce_bends(d, t)
+        for _ in range(3):
+            ts = _shuffled_children(t, rnd)
+            old = [int(ts.label(u)) for u in range(ts.n)]
+            ds = Drawing(mode=d.mode, pos={u: d.pos[old[u]] for u in range(ts.n)},
+                         edges={(ts.parent(u), u): d.edges[old[ts.parent(u)], old[u]]
+                                for u in range(1, ts.n)})
+            t2, d2 = reorder_children_by_drawing(ts, ds)
+            assert t2 == t
+            assert [t2.label(v) for v in range(t.n)] == [str(v) for v in range(t.n)]
+            assert d2.pos == d.pos and d2.edges == d.edges
+
+
 def test_extracted_witness_validates_everywhere():
     for t in tree_pool():
         if t.n < 2:
