@@ -206,9 +206,8 @@ def parse_tree(text: str) -> Tree:
 def serialize_tree(t: Tree) -> str:
     """Canonical label-free parenthesis form; inverse of parse_tree on structures.
 
-    Each node's "(" is followed by the ")" of every node whose subtree ends
-    with it: in preorder, depth[v] - depth[v + 1] + 1 of them, where
-    depth[n] = 0.  The depths sit in an ``array``, 8 bytes a node.
+    In preorder, node v's "(" is followed by depth[v] - depth[v + 1] + 1
+    closing parens (depth[n] = 0), the depths kept in a compact ``array``.
     """
     par = t._parent
     depth = array("l", [0]) * (len(par) + 1)
@@ -290,10 +289,9 @@ def tree_from_json(obj) -> Tree:
 
 
 def _preorder_walk(root, rows) -> tuple:
-    """(order, parent): the ids under `root` in preorder, where ``rows[v]``
-    lists v's children left to right, and for each its parent's new id,
-    an index into order (-1 for the root).  Nodes not under `root` are
-    left out."""
+    """(order, parent): the ids under `root` in preorder, ``rows[v]`` being
+    v's children left to right, and each one's parent as its new id, an
+    index into order (-1 for the root)."""
     order: list = []
     parent: list[int] = []
     stack = [root]

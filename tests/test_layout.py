@@ -296,7 +296,7 @@ def test_deep_trees_all_modes(t):
 
 # The paper's guarantees at n = 10^5, each drawing checked exactly: width
 # rpw (unordered) or rank, height n (unordered) or at most 2n - 1 (ordered3),
-# at most 0 / 3 / 1 bends.  About 20 s of the tier-1 run.
+# at most 0 / 3 / 1 bends.  About 25 s of the tier-1 run.
 GUARANTEE_TREES = {
     "path100000": lambda: gen_path(100_000),
     "hpd16": lambda: gen_hpd_family(16),
