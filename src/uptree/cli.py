@@ -32,19 +32,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .layout import (
     _ordered,
+    _write_drawing,
     draw_unordered,
     drawing_from_json,
-    drawing_to_json,
     layout_stats,
     prune_collinear,
 )
 from .ranking import rank, rank_witness_to_json
-from .render import render_ascii, render_svg
 from .tree import (
     InputError,
     gen_complete_binary,
@@ -57,7 +55,7 @@ from .tree import (
     tree_from_json,
     tree_to_json,
 )
-from .verify import _witness, check_drawing
+from .verify import check_drawing, extract_rank_witness
 from .widths import param_report
 
 __all__ = ["main"]
@@ -145,10 +143,8 @@ def _cmd_draw(args) -> int:
         d = _ordered(t, None, args.mode == "ordered1")
     if args.prune_collinear:
         d = prune_collinear(d)
-    out = drawing_to_json(d)
-    if args.stats:
-        out["stats"] = asdict(layout_stats(d))
-    _emit(out)
+    # the text _emit would print, never built whole
+    _write_drawing(sys.stdout.write, d, layout_stats(d)._asdict() if args.stats else None)
     return 0
 
 
@@ -159,9 +155,9 @@ def _cmd_verify(args) -> int:
     if not require:
         raise InputError("--require must name at least one property")
     report = check_drawing(t, d, require=require)
-    out = asdict(report)
+    out = report._asdict()
     if args.witness:
-        w = _witness(t, d, report)
+        w = extract_rank_witness(t, d, report)
         out["witness"] = None if w is None else rank_witness_to_json(w)
     _emit(out)
     return 0 if report.ok else 1
@@ -207,6 +203,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import render_ascii, render_svg  # only `render` draws pictures
+
     d = _load_drawing(args.drawing)
     text = render_svg(d) if args.format == "svg" else render_ascii(d)
     if args.out is not None:

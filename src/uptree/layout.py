@@ -29,10 +29,8 @@ and flips rows to y-up, so layout runs in time linear in the output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import chain
-
-from typing import Optional
+from itertools import chain, islice
+from typing import NamedTuple, Optional
 
 from .ranking import RankAnnotation, rank
 from .tree import InputError, Tree, _is_json_int
@@ -51,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Drawing:
+class Drawing(NamedTuple):
     """Node positions plus one poly-line per edge.
 
     ``pos`` maps node id to (x, y); ``edges`` maps (parent, child) to the
@@ -66,8 +63,7 @@ class Drawing:
     edges: dict
 
 
-@dataclass(frozen=True)
-class LayoutStats:
+class LayoutStats(NamedTuple):
     width: int
     height: int
     max_bends_per_edge: int
@@ -363,6 +359,45 @@ def drawing_to_json(d: Drawing) -> dict:
             for (p, c), pts in sorted(d.edges.items())
         ],
     }
+
+
+def _write_drawing(write, d: Drawing, stats: Optional[dict] = None) -> None:
+    """Write the text that ``print(json.dumps(out, sort_keys=True,
+    indent=2))`` prints for ``out = drawing_to_json(d)``, with ``stats``
+    under "stats" if given.
+
+    Neither that dict nor the whole text is built: ``indent`` sends
+    json.dumps to its pure-Python encoder, the largest cost of a big
+    drawing.  The text is made one chunk per edge and per node and
+    written 1024 chunks at a time, so that an unbuffered stdout is not
+    written once per edge.
+    """
+    chunks = _drawing_chunks(d, stats)
+    while batch := list(islice(chunks, 1024)):
+        write("".join(batch))
+
+
+def _drawing_chunks(d: Drawing, stats: Optional[dict]):
+    import json  # only the CLI writes drawings; `import uptree` leaves json unloaded
+
+    # keys in json's sorted order, node ids as strings
+    yield '{\n  "edges": ['
+    sep = "\n"
+    for (p, c), pts in sorted(d.edges.items()):
+        body = ",\n".join([f"        [\n          {x},\n          {y}\n        ]" for x, y in pts])
+        body = f"[\n{body}\n      ]" if body else "[]"
+        yield f'{sep}    {{\n      "from": {p},\n      "points": {body},\n      "to": {c}\n    }}'
+        sep = ",\n"
+    # an empty list or object closes on its key's line, as json.dumps writes it
+    yield ("]" if sep == "\n" else "\n  ]") + f',\n  "mode": {json.dumps(d.mode)},\n  "positions": {{'
+    sep = "\n"
+    for u, (x, y) in sorted(zip(map(str, d.pos), d.pos.values())):
+        yield f'{sep}    "{u}": [\n      {x},\n      {y}\n    ]'
+        sep = ",\n"
+    yield "}" if sep == "\n" else "\n  }"
+    if stats is not None:
+        yield ',\n  "stats": ' + json.dumps(stats, sort_keys=True, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 # canonical decimal text only: "-0" would alias node 0

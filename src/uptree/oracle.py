@@ -24,8 +24,7 @@ long-lived process keeps none of them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .tree import InputError, Tree, parse_tree, serialize_tree
 
@@ -229,7 +228,7 @@ def rpw_path_oracle(t: Tree, max_n: int = 16) -> int:
     order) within the call, capped at max_n nodes.
     """
     if t.n > max_n:
-        raise ValueError(f"rpw_path_oracle capped at n <= {max_n}, got {t.n}")
+        raise InputError(f"rpw_path_oracle capped at n <= {max_n}, got {t.n}")
     shapes: dict = {}
     for v in t.bottom_up():
         shapes[v] = tuple(sorted(shapes[c] for c in t.children(v)))
@@ -371,8 +370,7 @@ def _rooted_signature(root, comp, adj):
     return sig(root, None)
 
 
-@dataclass(frozen=True)
-class NWRecord:
+class NWRecord(NamedTuple):
     """Outcome of a minimal-nodes-for-rank search."""
 
     W: int

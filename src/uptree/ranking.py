@@ -25,8 +25,7 @@ Child indices are 1-based everywhere, matching the c_1..c_d convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .tree import Tree
 
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=True)
-class CornerWitness:
+class CornerWitness(NamedTuple):
     """One-sided witness: sigma maps w in {Wprime..W} to a child index.
 
     Wprime = W + 1 is the vacuous form (empty sigma, all children of
@@ -55,14 +53,13 @@ class CornerWitness:
     side: str  # "left" | "right"
     W: int
     Wprime: int
-    sigma: dict = field(compare=True)
+    sigma: dict
 
     def is_vacuous(self) -> bool:
         return self.Wprime == self.W + 1
 
 
-@dataclass(frozen=True)
-class ScanFailure:
+class ScanFailure(NamedTuple):
     """Where and why a corner-witness scan gave up."""
 
     index: int  # 1-based child index at which the scan failed
@@ -70,8 +67,7 @@ class ScanFailure:
     reason: str
 
 
-@dataclass(frozen=True)
-class RankWitness:
+class RankWitness(NamedTuple):
     W: int
     X: int
     v: int
@@ -79,8 +75,7 @@ class RankWitness:
     rank_bounds: dict
 
 
-@dataclass(frozen=True)
-class RankAnnotation:
+class RankAnnotation(NamedTuple):
     """Per-node rank, and a corner witness for every internal node.
 
     ``rank`` is a list indexed by preorder id.  ``corner`` is a dict

@@ -36,11 +36,9 @@ and reconstructs the width certificate its geometry implies.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from operator import le
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .layout import Drawing, _extent, _prune
 from .ranking import RankWitness, rank, validate_rank_witness
@@ -61,8 +59,7 @@ class DrawingMismatch(InputError):
     """The drawing does not structurally describe the given tree."""
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     planar: bool
     upward: bool
     strictly_upward: bool
@@ -145,7 +142,11 @@ def _y_at(y1, dy, dx, dist):
     An int on a grid point; a Fraction only between grid points.
     """
     q, r = divmod(dy * dist, dx)
-    return y1 + q if not r else Fraction(y1 * dx + dy * dist, dx)
+    if not r:
+        return y1 + q
+    from fractions import Fraction  # loaded only once a crossing falls off the grid
+
+    return Fraction(y1 * dx + dy * dist, dx)
 
 
 def _planarity(pos, lines, violations):
@@ -406,20 +407,21 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
     planar = len(violations) == before
 
     lo, hi, _, _, rows = _extent(pos, lines.values())
-    report = VerifyReport(
-        planar=planar,
-        upward=upward,
-        strictly_upward=strictly,
-        order_preserving=ordered,
-        straight_line=straight,
+    flags = {
+        "planar": planar,
+        "upward": upward,
+        "strictly_upward": strictly,
+        "order_preserving": ordered,
+        "straight_line": straight,
+    }
+    return VerifyReport(
+        **flags,
         width=hi - lo + 1,
         height=rows,
         max_bends=max(max(kept, default=2) - 2, 0),
         violations=violations,
-        ok=True,
+        ok=all(flags[prop] for prop in require),
     )
-    report.ok = all(getattr(report, prop) for prop in require)
-    return report
 
 
 def reorder_children_by_drawing(t: Tree, d: Drawing):
@@ -454,7 +456,9 @@ def reorder_children_by_drawing(t: Tree, d: Drawing):
     return t2, d2
 
 
-def extract_rank_witness(t: Tree, d: Drawing) -> Optional[RankWitness]:
+def extract_rank_witness(
+    t: Tree, d: Drawing, report: Optional[VerifyReport] = None
+) -> Optional[RankWitness]:
     """Read a width certificate for the root off a valid drawing.
 
     The drawing must be planar, upward, and order-preserving (reorder
@@ -463,12 +467,13 @@ def extract_rank_witness(t: Tree, d: Drawing) -> Optional[RankWitness]:
     injective bounds come from how deep each region descends, deepest
     first.  Returns None when the drawing fails the precheck or the
     resulting witness does not validate.
+
+    ``report`` is the VerifyReport that ``check_drawing`` returned for
+    the same `t` and `d`, under any ``require``; given it, the drawing is
+    not checked again.
     """
-    return _witness(t, d, check_drawing(t, d, ("planar", "upward", "order_preserving")))
-
-
-def _witness(t: Tree, d: Drawing, report: VerifyReport) -> Optional[RankWitness]:
-    """extract_rank_witness on the report that check_drawing gave for d."""
+    if report is None:
+        report = check_drawing(t, d, ("planar", "upward", "order_preserving"))
     if t.n < 2 or not (report.planar and report.upward and report.order_preserving):
         return None
     x0, y0 = d.pos[t.root]

@@ -12,7 +12,7 @@ The exhaustive oracles for rpw and the unrooted pathwidth ``pw`` are in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tree import Tree
 
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RpwAnnotation:
+class RpwAnnotation(NamedTuple):
     """Per-node rooted pathwidth and chosen rpw-heaviest child.
 
     Both fields are lists indexed by preorder id; ``heavy_child`` is
@@ -40,8 +39,7 @@ class RpwAnnotation:
         return self.rpw[0]
 
 
-@dataclass(frozen=True)
-class ParamReport:
+class ParamReport(NamedTuple):
     n: int
     rpw: int
     hpd: int

@@ -552,10 +552,34 @@ def test_usage_error_exits_2():
 
 
 def test_draw_leaves_the_oracles_unloaded():
-    # only `widths --pw` and `oracle` need uptree.oracle; every other
-    # command would pay for compiling it on each start
-    probe = ("import sys; from uptree.cli import main; code = main(['draw', '(()())']); "
-             "print('uptree.oracle' in sys.modules); sys.exit(code)")
+    # only `widths --pw` and `oracle` need uptree.oracle, only `render`
+    # needs uptree.render, and only an off-grid crossing needs fractions;
+    # every other command would pay for loading them on each start
+    probe = ("import sys; from uptree.cli import main; "
+             "codes = [main(['draw', '(()())', '--stats']), main(['widths', '(()())'])]; "
+             "print([m for m in ('uptree.oracle', 'uptree.render', 'dataclasses', 'fractions') "
+             "if m in sys.modules]); sys.exit(max(codes))")
     out = run_child([sys.executable, "-c", probe])
     assert out.returncode == 0, out.stderr
-    assert out.stdout.rstrip().endswith("False")
+    assert out.stdout.rstrip().endswith("\n[]")
+
+
+# the edge to node 2 crosses the wall x = 2 at y = 5/2, between grid points
+OFF_GRID = json.dumps({"mode": "unordered", "positions": {"0": [1, 4], "1": [2, 3], "2": [3, 1]},
+                       "edges": [{"from": 0, "to": 1, "points": [[1, 4], [2, 3]]},
+                                 {"from": 0, "to": 2, "points": [[1, 4], [3, 1]]}]})
+
+
+@pytest.mark.parametrize("drawing,loaded", [
+    (json.dumps({"mode": "unordered", "positions": {"0": [1, 3], "1": [1, 1], "2": [3, 2]},
+                 "edges": [{"from": 0, "to": 1, "points": [[1, 3], [1, 1]]},
+                           {"from": 0, "to": 2, "points": [[1, 3], [3, 2]]}]}), False),
+    (OFF_GRID, True),
+], ids=["on-grid", "off-grid"])
+def test_verify_loads_fractions_only_off_the_grid(drawing, loaded):
+    probe = ("import sys; from uptree.cli import main; "
+             f"code = main(['verify', '(()())', {drawing!r}, '--witness']); "
+             "print('fractions' in sys.modules); sys.exit(code)")
+    out = run_child([sys.executable, "-c", probe])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.rstrip().endswith(str(loaded))

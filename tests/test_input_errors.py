@@ -17,6 +17,7 @@ from uptree.oracle import (
     min_nodes_for_rank,
     pathwidth_oracle,
     rank_bruteforce,
+    rpw_path_oracle,
 )
 from uptree.ranking import corner_scan
 from uptree.render import render_ascii
@@ -70,6 +71,7 @@ INPUT_ERRORS = {
     "enumerate_trees-n": lambda: next(enumerate_trees(0)),
     "enumerate_trees-cap": lambda: next(enumerate_trees(16)),
     "rank_bruteforce": lambda: rank_bruteforce(gen_path(12)),
+    "rpw_path_oracle": lambda: rpw_path_oracle(gen_path(17)),
     "pathwidth_oracle": lambda: pathwidth_oracle(gen_path(15)),
     "min_nodes_for_rank-W": lambda: min_nodes_for_rank(5, n_max=12),
     "min_nodes_for_rank-n_max": lambda: min_nodes_for_rank(2, n_max=16),

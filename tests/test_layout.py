@@ -4,12 +4,13 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomcheck import check
 from uptree.layout import (
     Drawing,
+    _write_drawing,
     draw_ordered,
     draw_unordered,
     drawing_from_json,
@@ -266,6 +267,68 @@ def test_frozen_wide_chains():
         for mode, d in (("ordered3", d3), ("ordered1", reduce_bends(d3, t))):
             h[mode].update(json.dumps(drawing_to_json(d), sort_keys=True).encode())
     assert {mode: x.hexdigest() for mode, x in h.items()} == WIDE_DIGESTS
+
+
+# --------------------------------------------------------------- writer
+
+
+def written(d, stats=None):
+    chunks = []
+    _write_drawing(chunks.append, d, stats)
+    return "".join(chunks)
+
+
+def dumped(d, stats=None):
+    """What `uptree draw` printed before it had a writer of its own."""
+    out = drawing_to_json(d) | ({} if stats is None else {"stats": stats})
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["unordered", "ordered3", "ordered1"])
+def test_writer_matches_json_dumps_on_frozen_corpus(mode):
+    for t in frozen_corpus():
+        d = FROZEN_DRAW[mode](t)
+        for drawing in (d, prune_collinear(d)):
+            stats = layout_stats(drawing)._asdict()
+            assert written(drawing) == dumped(drawing)
+            assert written(drawing, stats) == dumped(drawing, stats)
+
+
+# far past 2^63, negative, and small enough to repeat
+COORD = st.integers(-(2**70), 2**70) | st.integers(-3, 12)
+
+
+@st.composite
+def any_drawing(draw):
+    # more than ten ids put "10" before "2" in json's key order
+    ids = draw(st.sets(st.integers(-5, 30), min_size=1, max_size=25))
+    pos = {u: (draw(COORD), draw(COORD)) for u in ids}
+    keys = draw(st.lists(st.tuples(st.sampled_from(sorted(ids)), st.sampled_from(sorted(ids))),
+                         unique=True, max_size=len(ids) + 3))
+    edges = {k: draw(st.lists(st.tuples(COORD, COORD), max_size=4)) for k in keys}
+    return Drawing(draw(st.sampled_from(["unordered", "ordered3", "ordered1"])), pos, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@example(Drawing("unordered", {0: (1, 1)}, {}))
+@example(Drawing("ordered1", {u: (-u, 2**64 + u) for u in range(12)},
+                 {(0, u): [(0, 2**64), (-u, 2**64 + u)] for u in range(1, 12)}))
+@given(d=any_drawing())
+def test_writer_matches_json_dumps(d):
+    assert written(d) == dumped(d)
+    stats = layout_stats(d)._asdict()
+    assert written(d, stats) == dumped(d, stats)
+
+
+def test_writer_streams():
+    # a big drawing goes out in several writes, none of them the whole text
+    t = gen_path(5000)
+    d = draw_unordered(t)
+    chunks = []
+    _write_drawing(chunks.append, d)
+    assert len(chunks) > 2
+    assert "".join(chunks) == dumped(d)
+    assert max(map(len, chunks)) < len(dumped(d)) / 2
 
 
 # ------------------------------------------------------------ deep trees

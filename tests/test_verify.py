@@ -5,7 +5,6 @@ frozen report digests."""
 import hashlib
 import json
 import random
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -446,6 +445,25 @@ def test_extraction_reads_repeated_and_list_points_alike():
         assert extract_rank_witness(t, lists) == w
 
 
+@pytest.mark.parametrize("draw", ["unordered", "ordered3", "ordered1"])
+@pytest.mark.parametrize("require", [("planar",), ("planar", "upward", "order_preserving")])
+def test_extraction_reads_a_given_report(monkeypatch, draw, require):
+    # the report check_drawing gave for the same drawing, under any
+    # `require`, stands in for a second check
+    for t in [parse_tree(s) for s in FIXED] + [gen_random_tree(60, seed=3)]:
+        d = FROZEN_DRAW[draw](t)
+        report = check_drawing(t, d, require)
+        want = extract_rank_witness(t, d)
+        calls = []
+        for name in ("_structural", "_planarity"):
+            monkeypatch.setattr(verify, name, lambda *args, _name=name: calls.append(_name))
+        assert extract_rank_witness(t, d, report) == want
+        monkeypatch.undo()
+        assert calls == []
+        if draw != "unordered":
+            assert (want is None) == (t.n < 2)
+
+
 def test_extraction_single_node_is_none():
     t = parse_tree("()")
     assert extract_rank_witness(t, draw_unordered(t)) is None
@@ -537,7 +555,7 @@ FROZEN_REPORT_DIGESTS = {
 def frozen_outputs(kind):
     if kind == "reports":
         for t, d in broken_corpus():
-            yield asdict(check_drawing(t, d, require=("planar", "upward", "order_preserving")))
+            yield check_drawing(t, d, require=("planar", "upward", "order_preserving"))._asdict()
     else:
         for t in frozen_corpus():
             w = extract_rank_witness(t, draw_ordered(t))
