@@ -6,6 +6,14 @@ every child id is strictly larger than its parent's, so all dynamic
 programming over subtrees is a plain loop with no recursion.  That is
 load-bearing, not style: some generated families contain paths far deeper
 than CPython's default recursion limit.
+
+A tree is two flat tuples: the child rows (one tuple of child ids per
+node, every leaf sharing the empty tuple) and the parent array.  The
+loaders and ``reorder_children_by_drawing`` write the rows directly and
+make no list per node: ``parse_tree`` slices each node's children off one
+flat list of pending ids when the node closes, and ``tree_from_json``
+takes the decoded child lists as they are, going through an old-id to
+new-id map only when the ids are not already preorder ids.
 """
 
 from __future__ import annotations
@@ -48,6 +56,11 @@ class ParseError(InputError):
 
 class Tree:
     """Rooted ordered tree with preorder node ids.
+
+    Holds ``_children``, a tuple of child-id tuples, ``_parent``, a tuple
+    of parent ids (-1 for the root), and ``_labels``.  The constructor
+    checks the numbering in one walk; the library's own builders check
+    their input themselves and go through the unchecked ``_raw``.
 
     Parameters
     ----------
@@ -93,21 +106,13 @@ class Tree:
         self._labels = dict(labels) if labels else {}
 
     @classmethod
-    def _preorder(cls, parent: list, labels: dict) -> Tree:
-        """The tree in which node v hangs under ``parent[v]``, taken as is.
-
-        ``parent`` must be a preorder parent array: ``parent[0] == -1``
-        and ``0 <= parent[v] < v`` otherwise.  Nothing is checked: the
-        loaders check their input first and build the tree in one pass
-        with this, and every other caller builds a valid array by
-        construction.
-        """
-        kids: list[list[int]] = [[] for _ in parent]
-        for v in range(1, len(parent)):
-            kids[parent[v]].append(v)
+    def _raw(cls, rows: tuple, parent: tuple, labels: dict) -> Tree:
+        """The tree with child rows ``rows`` and parent array ``parent``,
+        taken as is.  Nothing is checked: the loaders check their input
+        first, and every other caller builds valid rows by construction."""
         t = cls.__new__(cls)
-        t._children = tuple(map(tuple, kids))
-        t._parent = tuple(parent)
+        t._children = rows
+        t._parent = parent
         t._labels = labels
         return t
 
@@ -170,6 +175,10 @@ def parse_tree(text: str) -> Tree:
     """
     parent: list[int] = []
     labels: dict[int, str] = {}
+    # every '(' of a tree opens a node; a leaf keeps the shared ()
+    rows: list[tuple] = [()] * text.count("(")
+    pending: list[int] = []  # the children read so far of all open nodes, flat
+    starts: list[int] = []  # per open node, innermost last: where its children start
     top = -1  # the innermost open node; -1 before the root opens and after it closes
     label_at = -1  # where the label being read starts, or -1
     for i, ch in enumerate(text):
@@ -181,11 +190,20 @@ def parse_tree(text: str) -> Tree:
                 raise ParseError("trailing garbage after tree", i)
             parent.append(top)
             top = len(parent) - 1
+            pending.append(top)
+            starts.append(len(pending))
         elif ch == ")":
             if label_at >= 0:
                 raise ParseError("expected '(' after label", i)
             if top < 0:
                 raise ParseError("trailing garbage after tree" if parent else "unbalanced ')'", i)
+            k = len(pending) - starts.pop()  # top's children, the last k pending
+            if k:
+                if k == 1:
+                    rows[top] = (pending.pop(),)
+                else:
+                    rows[top] = tuple(pending[-k:])
+                    del pending[-k:]
             top = parent[top]
         elif ch.isspace():
             if label_at >= 0:
@@ -200,7 +218,7 @@ def parse_tree(text: str) -> Tree:
         raise ParseError("unbalanced '(': input ended with open nodes", len(text))
     if not parent:
         raise ParseError("empty input", 0)
-    return Tree._preorder(parent, labels)
+    return Tree._raw(tuple(rows), tuple(parent), labels)
 
 
 def serialize_tree(t: Tree) -> str:
@@ -284,8 +302,19 @@ def tree_from_json(obj) -> Tree:
     order, parent = _preorder_walk(root, kids)
     if len(order) != len(kids):
         raise ParseError("tree JSON is not connected", 0)
-    labels = labels_raw and {i: labels_raw[v] for i, v in enumerate(order) if v in labels_raw}
-    return Tree._preorder(parent, labels)
+    if order == list(range(len(order))):  # the ids are preorder ids already
+        rows = tuple(map(tuple, map(kids.__getitem__, order)))
+        return Tree._raw(rows, tuple(parent), labels_raw)
+    return _renumbered(dict(zip(order, range(len(order)))), parent, kids, labels_raw)
+
+
+def _renumbered(new: dict, parent: list, kids, labels: dict) -> Tree:
+    """The tree in which node v is renamed ``new[v]``, ``kids[v]`` listing
+    v's children left to right and ``labels`` keyed by the old ids.  ``new``
+    lists the old ids in preorder, and ``parent`` holds the new ids' parents."""
+    get = new.__getitem__
+    rows = tuple([tuple(map(get, cs)) if cs else () for cs in map(kids.__getitem__, new)])
+    return Tree._raw(rows, tuple(parent), {get(v): lab for v, lab in labels.items()})
 
 
 def _preorder_walk(root, rows) -> tuple:

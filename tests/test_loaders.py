@@ -1,8 +1,8 @@
 """The tree loaders against their two-pass reference copies in ``refloaders``.
 
 Every input, valid or broken, must give the same outcome from both: an
-equal tree with equal parents and labels, or the same exception class,
-message and offset.
+equal tree with equal parents, child rows and labels, or the same
+exception class, message and offset.
 """
 
 import copy
@@ -23,7 +23,7 @@ def outcome(load, arg):
     except Exception as e:  # compared, never swallowed: both sides must agree
         return type(e), str(e), getattr(e, "offset", None)
     return (serialize_tree(t), [t.parent(v) for v in range(t.n)],
-            [t.label(v) for v in range(t.n)])
+            [t.children(v) for v in range(t.n)], [t.label(v) for v in range(t.n)])
 
 
 def same_outcome(load, ref, arg):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +307,28 @@ def test_loaders_round_trip_at_1e5(make):
 
 
 
+def _parse_peak_ratio(text):
+    """parse_tree's tracemalloc peak over the size of the tree it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        t = parse_tree(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.n == text.count("(")
+    return (peak - base) / (kept - base)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_hpd_family(14),
+                                  lambda: gen_random_tree(2 * 10**4, seed=0)], ids=["hpd14", "random"])
+def test_parse_tree_builds_no_list_per_node(make):
+    # beside the tree it returns, parse_tree holds only flat lists of ids;
+    # a list per node (and a tuple copy of each) would take it near 2x
+    assert _parse_peak_ratio(serialize_tree(make())) <= 1.5
+
+
 # paren text of any small tree; hypothesis shrinks it node by node
 TREE_TEXT = st.recursive(st.just("()"), lambda kids: st.lists(kids, max_size=4).map(
     lambda ks: "(" + "".join(ks) + ")"), max_leaves=40)
@@ -383,4 +406,6 @@ def test_frozen_generators():
     h = hashlib.sha256()
     for family, arg, t in _generated():
         h.update(f"{family} {arg} {serialize_tree(t)}\n".encode())
+        # serialize_tree reads only the parents; the child rows must agree
+        assert Tree(t._children)._parent == t._parent
     assert h.hexdigest() == FROZEN_GENERATORS
