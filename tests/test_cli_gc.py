@@ -78,3 +78,22 @@ def test_cyclic_garbage_does_not_grow_with_n(name, tmp_path, capsys, collector_o
         files = _inputs(tmp_path, capsys, n)
         counts.append(_left_behind(capsys, [a.format(**files) for a in argv], code))
     assert counts[2] <= counts[1], counts
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_the_collector_and_restores_it(enabled, capsys, monkeypatch):
+    import uptree.cli as cli
+
+    seen = []
+    report = cli.param_report
+    monkeypatch.setattr(cli, "param_report", lambda t: seen.append(gc.isenabled()) or report(t))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["widths", "(()())"]) == 0
+        assert main(["widths", "(()"]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    capsys.readouterr()
