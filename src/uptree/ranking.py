@@ -130,17 +130,28 @@ def rank(t: Tree) -> RankAnnotation:
     total.  When both one-sided tests succeed the left witness is kept,
     so repeated runs draw identically.  The witness, and with it the
     rank (its W), depends only on the tuple of child ranks, so each
-    distinct tuple is scanned once and its witness shared.
+    distinct tuple is scanned once and its witness shared.  A node with
+    one child of rank r has rank r, and its tuple is keyed by r alone.
     """
     children = t._children
     rk = [1] * t.n
     corner: dict = {}
     by_ranks: dict = {}
+    by_rank: dict = {}  # the one-child tuples (r,), keyed by r
+    get = rk.__getitem__
     for v in t.bottom_up():
         kids = children[v]
         if not kids:
             continue
-        ranks = tuple([rk[c] for c in kids])
+        if len(kids) == 1:
+            r = rk[kids[0]]
+            cw = by_rank.get(r)
+            if cw is None:
+                cw = by_rank[r] = corner_scan((r,), r, "left")
+            rk[v] = r
+            corner[v] = cw
+            continue
+        ranks = tuple(map(get, kids))
         cw = by_ranks.get(ranks)
         if cw is None:
             W = max(ranks)

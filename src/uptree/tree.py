@@ -11,16 +11,22 @@ A tree is two flat tuples: the child rows (one tuple of child ids per
 node, every leaf sharing the empty tuple) and the parent array.  The
 loaders and ``reorder_children_by_drawing`` write the rows directly and
 make no list per node: ``parse_tree`` slices each node's children off one
-flat list of pending ids when the node closes, and ``tree_from_json``
-takes the decoded child lists as they are, going through an old-id to
-new-id map only when the ids are not already preorder ids.
+flat list of pending ids when the node closes.  ``tree_from_json`` takes
+JSON whose ids are already preorder ids in record order, as
+``tree_to_json`` writes it, after type checks made in bulk and one
+interval pass over the child lists.  Any other JSON it checks record by
+record and then walks, closing nodes as ``parse_tree`` does, with no map
+from old ids to new ones.  Both paths give the same tree, and every
+input that the first refuses takes the second, so the errors are the
+same too.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import itemgetter, ne
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -263,6 +269,9 @@ def tree_from_json(obj) -> Tree:
     raw = obj["nodes"]
     if not isinstance(raw, list) or not raw:
         raise ParseError("'nodes' must be a non-empty list", 0)
+    t = _from_preorder_ids(obj["root"], raw)
+    if t is not None:
+        return t
     kids = {}
     labels_raw = {}
     for rec in raw:
@@ -299,42 +308,105 @@ def tree_from_json(obj) -> Tree:
             if c in seen_child or c == root:
                 raise ParseError(f"node {c} has more than one parent", 0)
             seen_child.add(c)
-    order, parent = _preorder_walk(root, kids)
-    if len(order) != len(kids):
-        raise ParseError("tree JSON is not connected", 0)
-    if order == list(range(len(order))):  # the ids are preorder ids already
-        rows = tuple(map(tuple, map(kids.__getitem__, order)))
-        return Tree._raw(rows, tuple(parent), labels_raw)
-    return _renumbered(dict(zip(order, range(len(order)))), parent, kids, labels_raw)
+    return _renumbered(root, kids, labels_raw)[0]
 
 
-def _renumbered(new: dict, parent: list, kids, labels: dict) -> Tree:
-    """The tree in which node v is renamed ``new[v]``, ``kids[v]`` listing
-    v's children left to right and ``labels`` keyed by the old ids.  ``new``
-    lists the old ids in preorder, and ``parent`` holds the new ids' parents."""
-    get = new.__getitem__
-    rows = tuple([tuple(map(get, cs)) if cs else () for cs in map(kids.__getitem__, new)])
-    return Tree._raw(rows, tuple(parent), {get(v): lab for v, lab in labels.items()})
+def _from_preorder_ids(root, raw: list) -> Optional[Tree]:
+    """The tree of the node records ``raw`` when their ids are already
+    preorder ids in record order, as ``tree_to_json`` writes them, and None
+    for any other input: ``tree_from_json`` then decides it record by
+    record, and raises its errors.
+
+    The types are checked in bulk.  The structure takes one pass from the
+    last node up, in which node v's first child must be v + 1 and each
+    later child must start one past the end of its left sibling's subtree.
+    The subtree of v is then the interval v..end[v], and end[0] == n - 1
+    proves every node reached exactly once, from a parent with a smaller id.
+    """
+    n = len(raw)
+    if type(root) is not int or root != 0 or set(map(type, raw)) != {dict}:
+        return None
+    try:
+        ids = list(map(itemgetter("id"), raw))
+        kids = list(map(itemgetter("children"), raw))
+    except KeyError:
+        return None
+    if (set(map(type, ids)) != {int} or any(map(ne, ids, range(n)))
+            or set(map(type, kids)) != {list}
+            or not set(map(type, chain.from_iterable(kids))) <= {int}):
+        return None
+    del ids
+    label_types = set(map(type, map(dict.get, raw, repeat("label"))))
+    if not label_types <= {str, type(None)}:
+        return None
+    parent = [-1] * n
+    end = [0] * n
+    try:
+        for v in range(n - 1, -1, -1):
+            nxt = v + 1
+            for c in kids[v]:
+                if c != nxt:
+                    return None
+                parent[c] = v
+                nxt = end[c] + 1
+            end[v] = nxt - 1
+    except IndexError:  # a child id n, one past the last node
+        return None
+    if end[0] != n - 1:
+        return None
+    del end
+    labels = {}
+    if str in label_types:
+        labels = {v: lab for v, lab in enumerate(map(dict.get, raw, repeat("label")))
+                  if lab is not None}
+    return Tree._raw(tuple(map(tuple, kids)), tuple(parent), labels)
 
 
-def _preorder_walk(root, rows) -> tuple:
-    """(order, parent): the ids under `root` in preorder, ``rows[v]`` being
-    v's children left to right, and each one's parent as its new id, an
-    index into order (-1 for the root)."""
-    order: list = []
+def _renumbered(root, kids, labels: dict) -> tuple:
+    """(tree, order): the tree under ``root`` with preorder ids, and the
+    old ids in that order.  ``kids[v]`` lists v's children left to right,
+    and ``labels`` is keyed by the old ids.
+
+    Every child is known and has one parent, and the root is no child.
+    The walk numbers the nodes as it reaches them and, as ``parse_tree``
+    does, slices each node's row off one flat list of the new ids of the
+    children reached so far when the node closes: no map from old ids to
+    new ones.
+    """
+    rows: list = [()] * len(kids)
+    order = []
     parent: list[int] = []
-    stack = [root]
-    above = [-1]  # beside ``stack``: the new id of each waiting node's parent
+    new_labels = {}
+    pending: list[int] = []  # the new ids of the children reached so far of all open nodes
+    starts: list[int] = []  # per open node, innermost last: where its children start
+    top = -1  # the innermost open node's new id
+    stack = [root]  # the ids still to reach; None closes the innermost open node
     while stack:
         v = stack.pop()
-        i = len(order)
+        if v is None:
+            k = len(pending) - starts.pop()
+            if k == 1:
+                rows[top] = (pending.pop(),)
+            else:
+                rows[top] = tuple(pending[-k:])
+                del pending[-k:]
+            top = parent[top]
+            continue
+        i = len(parent)
         order.append(v)
-        parent.append(above.pop())
-        cs = rows[v]
+        parent.append(top)
+        pending.append(i)
+        if v in labels:
+            new_labels[i] = labels[v]
+        cs = kids[v]
         if cs:
+            top = i
+            starts.append(len(pending))
+            stack.append(None)
             stack.extend(reversed(cs))
-            above.extend([i] * len(cs))
-    return order, parent
+    if len(parent) != len(kids):
+        raise ParseError("tree JSON is not connected", 0)
+    return Tree._raw(tuple(rows), tuple(parent), new_labels), order
 
 
 def gen_path(k: int) -> Tree:

@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 
 from .layout import Drawing, _extent, _prune
 from .ranking import RankWitness, rank, validate_rank_witness
-from .tree import InputError, Tree, _is_json_int, _preorder_walk, _renumbered
+from .tree import InputError, Tree, _is_json_int, _renumbered
 
 __all__ = [
     "DrawingMismatch",
@@ -444,9 +444,8 @@ def reorder_children_by_drawing(t: Tree, d: Drawing):
             if _clockwise(dirs[a], dirs[b]) == 0:
                 raise InputError(f"coincident edge directions at node {v}")
 
-    trail, parent = _preorder_walk(t.root, order)
+    t2, trail = _renumbered(t.root, order, t._labels)
     mapping = dict(zip(trail, range(t.n)))
-    t2 = _renumbered(mapping, parent, order, t._labels)
     d2 = Drawing(
         mode=d.mode,
         pos={mapping[u]: p for u, p in d.pos.items()},

@@ -54,7 +54,8 @@ def rooted_pathwidth(t: Tree) -> RpwAnnotation:
     A leaf has rpw 1.  An internal node takes M = max over children; if a
     single child attains M the node inherits M (that child is the heavy
     one), otherwise M + 1.  Ties for heavy child break leftmost so that
-    repeated runs draw identically.
+    repeated runs draw identically.  A node with one child copies its
+    child's value.
     """
     children = t._children
     rpw = [1] * t.n
@@ -62,6 +63,11 @@ def rooted_pathwidth(t: Tree) -> RpwAnnotation:
     for v in t.bottom_up():
         kids = children[v]
         if not kids:
+            continue
+        if len(kids) == 1:
+            c = kids[0]
+            rpw[v] = rpw[c]
+            heavy[v] = c
             continue
         best = 0
         count = 0
@@ -81,7 +87,8 @@ def heavy_path_depth(t: Tree) -> int:
     """Recursion depth of the heaviest-path decomposition.
 
     hpd(leaf) = 1; otherwise max over children c of hpd(c) plus 1 unless
-    c is the size-heaviest child (leftmost on ties).
+    c is the size-heaviest child (leftmost on ties).  A node with one
+    child copies its child's value.
     """
     children = t._children
     size = [1] * t.n
@@ -89,6 +96,11 @@ def heavy_path_depth(t: Tree) -> int:
     for v in t.bottom_up():
         kids = children[v]
         if not kids:
+            continue
+        if len(kids) == 1:
+            c = kids[0]
+            size[v] = size[c] + 1
+            hpd[v] = hpd[c]
             continue
         heaviest = kids[0]
         most = size[heaviest]

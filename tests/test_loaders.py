@@ -7,11 +7,13 @@ exception class, message and offset.
 
 import copy
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refloaders
-from uptree.tree import gen_random_tree, parse_tree, serialize_tree, tree_from_json
+from uptree.tree import (_from_preorder_ids, gen_random_tree, parse_tree, serialize_tree,
+                         tree_from_json, tree_to_json)
 
 LABEL_CHARS = "ab_1é"
 TEXT_CHARS = "()ab \t\n\x1c　"
@@ -78,19 +80,27 @@ NOT_INTS = [True, False, 1.0, 0.0, "1", None, [1], {"id": 1}]
 
 @st.composite
 def tree_json(draw):
-    """JSON of a random tree under arbitrary ids, maybe broken in 1-2 places."""
+    """JSON of a random tree, maybe broken in 1-2 places.  Either the ids
+    are arbitrary and the records permuted, or the ids are preorder ids in
+    record order with every child list written, as ``tree_to_json`` writes
+    them, so that the loader's bulk path decides the input."""
     t = draw(random_tree())
-    ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=t.n, max_size=t.n,
-                        unique=True))
+    preorder = draw(st.booleans())
+    if preorder:
+        ids = list(range(t.n))
+    else:
+        ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=t.n, max_size=t.n,
+                            unique=True))
     nodes = []
     for v in range(t.n):
         rec = {"id": ids[v]}
-        if t.children(v) or draw(st.booleans()):
+        if preorder or t.children(v) or draw(st.booleans()):
             rec["children"] = [ids[c] for c in t.children(v)]
         if draw(st.integers(0, 3)) == 0:
             rec["label"] = draw(st.one_of(st.none(), st.text(LABEL_CHARS, max_size=3)))
         nodes.append(rec)
-    nodes = draw(st.permutations(nodes))
+    if not preorder:
+        nodes = draw(st.permutations(nodes))
     obj = {"root": ids[0], "nodes": nodes}
     fresh = max(ids) + 1
     for _ in range(draw(st.integers(0, 2))):
@@ -138,3 +148,63 @@ def tree_json(draw):
 @given(tree_json())
 def test_tree_from_json_matches_reference(obj):
     same_outcome(tree_from_json, refloaders.tree_from_json, obj)
+
+
+def example_json(**changes):
+    """Tree JSON of (()()(()())) with preorder ids, as tree_to_json writes
+    it; ``changes`` maps a record index, or "root", to what replaces it."""
+    nodes = [{"id": 0, "children": [1, 2, 3]}, {"id": 1, "children": []},
+             {"id": 2, "children": [], "label": "b"}, {"id": 3, "children": [4, 5]},
+             {"id": 4, "children": []}, {"id": 5, "children": []}]
+    obj = {"root": 0, "nodes": nodes}
+    for key, value in changes.items():
+        if key == "root":
+            obj["root"] = value
+        else:
+            nodes[int(key[1:])] = value
+    return obj
+
+
+BULK_CASES = {
+    "as-written": example_json(),
+    "child-true": example_json(r0={"id": 0, "children": [True, 2, 3]}),
+    "id-float": example_json(r1={"id": 1.0, "children": []}),
+    "child-float": example_json(r3={"id": 3, "children": [4.0, 5]}),
+    "leaf-without-children": example_json(r1={"id": 1}),
+    "children-swapped": example_json(r3={"id": 3, "children": [5, 4]}),
+    "subtrees-swapped": example_json(r0={"id": 0, "children": [1, 3, 2]}),
+    "root-false": example_json(root=False),
+    "root-float": example_json(root=0.0),
+    "root-one": example_json(root=1),
+    "label-int": example_json(r2={"id": 2, "children": [], "label": 5}),
+    "label-null": example_json(r2={"id": 2, "children": [], "label": None}),
+    "children-null": example_json(r4={"id": 4, "children": None}),
+    "child-past-end": example_json(r5={"id": 5, "children": [6]}),
+    "child-of-itself": example_json(r5={"id": 5, "children": [5]}),
+    "child-is-root": example_json(r5={"id": 5, "children": [0]}),
+    "two-parents": example_json(r1={"id": 1, "children": [2]}),
+    "record-not-dict": example_json(r4=[4]),
+    "unreachable-trailing": {"root": 0, "nodes": example_json()["nodes"]
+                             + [{"id": 6, "children": []}]},
+    "unreachable-cycle": {"root": 0, "nodes": example_json()["nodes"]
+                          + [{"id": 6, "children": [7]}, {"id": 7, "children": [6]}]},
+    "one-node": {"root": 0, "nodes": [{"id": 0, "children": []}]},
+    "one-node-labelled": {"root": 0, "nodes": [{"id": 0, "children": [], "label": "r"}]},
+    "one-node-own-child": {"root": 0, "nodes": [{"id": 0, "children": [0]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_CASES))
+def test_tree_from_json_bulk_cases_match_reference(name):
+    same_outcome(tree_from_json, refloaders.tree_from_json, BULK_CASES[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_tree(max_n=60), st.data())
+def test_tree_to_json_takes_the_bulk_path(t, data):
+    obj = tree_to_json(t)
+    for v in data.draw(st.lists(st.integers(0, t.n - 1), max_size=3)):
+        obj["nodes"][v]["label"] = data.draw(st.text(LABEL_CHARS, max_size=2))
+    bulk = _from_preorder_ids(obj["root"], obj["nodes"])
+    assert bulk is not None
+    assert outcome(lambda o: bulk, obj) == outcome(refloaders.tree_from_json, obj)
