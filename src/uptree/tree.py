@@ -335,26 +335,30 @@ def _from_preorder_ids(root, raw: list) -> Optional[Tree]:
             or set(map(type, kids)) != {list}
             or not set(map(type, chain.from_iterable(kids))) <= {int}):
         return None
-    del ids
     label_types = set(map(type, map(dict.get, raw, repeat("label"))))
     if not label_types <= {str, type(None)}:
         return None
     parent = [-1] * n
-    end = [0] * n
+    # end[v] starts as v, right for a leaf, and takes the end of v's last
+    # child: the ints stored are the decoded ids, so the pass makes none
+    end = ids
     try:
         for v in range(n - 1, -1, -1):
-            nxt = v + 1
-            for c in kids[v]:
-                if c != nxt:
-                    return None
-                parent[c] = v
-                nxt = end[c] + 1
-            end[v] = nxt - 1
+            cs = kids[v]
+            if cs:
+                nxt = v + 1
+                for c in cs:
+                    if c != nxt:
+                        return None
+                    parent[c] = v
+                    last = end[c]
+                    nxt = last + 1
+                end[v] = last
     except IndexError:  # a child id n, one past the last node
         return None
     if end[0] != n - 1:
         return None
-    del end
+    del end, ids
     labels = {}
     if str in label_types:
         labels = {v: lab for v, lab in enumerate(map(dict.get, raw, repeat("label")))
