@@ -22,12 +22,12 @@ points.  The segments, split at the walls into (strip, left y, right y)
 and sorted once, must hold no inversion (a crossing).  The points where
 segments cross interior walls must be distinct and off every node and
 bend (so no two segments overlap), and among all these points, sorted,
-the two ends of each vertical segment must be neighbours.  Only a drawing
-that fails goes on to the walk, which groups every touch by its exact
-position and names the violations; the two agree on whether there are
-any.  A wide drawing, whose segments cross more interior walls than
-there are segments (a straight k-leaf fan crosses about k^2/4), goes
-straight to the walk, so that no segment is split twice.
+the two ends of each vertical segment must be neighbours.  A wide drawing,
+whose segments cross more interior walls than there are segments (a
+straight k-leaf fan crosses about k^2/4), is sorted on its side: swapping
+x and y changes no intersection.  Only a drawing that fails goes on to the
+walk, which groups every touch by its exact position and names the
+violations; the two agree on whether there are any.
 
 ``extract_rank_witness`` goes the other way: it reads a valid drawing
 and reconstructs the width certificate its geometry implies.
@@ -156,17 +156,18 @@ def _planarity(pos, lines, violations):
         _walk(pos, lines, violations)
 
 
-def _planar_by_sorting(pos, lines):
-    """True when sorting proves the drawing planar; False when it finds a
-    fault, and None, undecided, when the drawing is wide."""
+def _planar_by_sorting(pos, lines, turned=False):
+    """True when sorting proves the drawing planar, False when it finds a fault."""
     vals = lines.values()
     segs = [(a, b) if a < b else (b, a) for pts in vals for a, b in zip(pts, pts[1:])]
     # every node ends an edge once there is one, so the points hold the walls
     walls = sorted({x for pts in vals for x, _ in pts})
     at = {x: i for i, x in enumerate(walls)}
     nv = [(at[a[0]], at[b[0]], a, b) for a, b in segs if a[0] != b[0]]
-    if sum(i2 - i1 for i1, i2, _, _ in nv) > 2 * len(nv):
-        return None  # more interior wall crossings than segments
+    if not turned and sum(i2 - i1 for i1, i2, _, _ in nv) > 2 * len(nv):
+        # more interior wall crossings than segments: sort it on its side
+        return _planar_by_sorting({u: (y, x) for u, (x, y) in pos.items()},
+                                  {k: [(y, x) for x, y in pts] for k, pts in lines.items()}, True)
     bends = [p for pts in vals for p in pts[1:-1]]
     vertices = set(pos.values()).union(bends)
     if len(vertices) < len(pos) + len(bends):
@@ -223,8 +224,6 @@ def _walk(pos, lines, violations):
         for i, (a, b) in enumerate(zip(pts, pts[1:])):
             segs.append((key, i, a, b))
         last[key] = len(pts) - 2  # index of the final segment
-    if not segs:
-        return
 
     vert = {}  # column -> [(ylo, yhi, sid)]
     nv = []  # (x1, x2, y1, y2, sid), x1 < x2

@@ -4,11 +4,11 @@ Every call runs in-process through ``main()``; the digest covers its
 argv, exit code, stdout and stderr.  A refactor of any layer under the
 CLI must leave it unchanged.  Left out on purpose: exit-3 cases (their
 tracebacks hold file paths), argparse's own usage errors (their text is
-argparse's, not ours), inputs whose handling is meant to change
-(repeated JSON keys, empty drawings), and the size caps and ranges that
-the CLI checks on top of the library (``--pw`` past 14 nodes,
-``--pw-cap``, ``--max-degree 0`` and the oracle caps), whose messages are
-meant to become the library's.
+argparse's, not ours; flags that are gone, such as ``--pw-cap``, end
+there), repeated JSON keys and empty drawings (``tests/test_cli.py`` pins
+their messages), and the size caps and ranges (``--pw`` past 14 nodes,
+``--max-degree 0``, the generator and oracle caps), whose messages are the
+library's own and are pinned by ``test_library_caps_exit_2``.
 """
 
 import hashlib

@@ -5,6 +5,8 @@ frozen report digests."""
 import hashlib
 import json
 import random
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,12 @@ def with_ranks(rs):
 def clone(d):
     return Drawing(mode=d.mode, pos=dict(d.pos),
                    edges={k: [tuple(p) for p in v] for k, v in d.edges.items()})
+
+
+def sorts():
+    """Count the calls of the sorting decision; a drawing sorted on its
+    side calls it twice."""
+    return mock.patch.object(verify, "_planar_by_sorting", wraps=verify._planar_by_sorting)
 
 
 FIXED = [
@@ -135,6 +143,86 @@ def test_planarity_agrees_with_pairwise_oracle(n, width, seed):
     rep = check_drawing(t, d, require=("planar",))
     assert rep.strictly_upward
     assert rep.planar == (pairwise(t, d, ordered=False) == []), rep.violations
+
+
+def near_miss_drawing(t, cols, seed):
+    """A strictly downward drawing of t whose edges aim near other nodes.
+
+    Nodes placed at random get distinct columns among `cols`.  Half the
+    children instead sit twice as far from their parent as a point one
+    unit from another node, or (rarely) as that node itself, so their edge
+    passes one unit from it, or through it.  One edge in ten bends once,
+    so that crossings fall between grid points.
+    """
+    rng = random.Random(seed)
+    xs = iter(rng.sample(range(cols), t.n))
+    pos = {t.root: (next(xs), 0)}
+    edges = {}
+    for v in t.preorder():
+        x, y = pos[v]
+        for c in t.children(v):
+            p = (next(xs), y - rng.randint(1, 3))
+            others = sorted(pos.keys() - {v})
+            if others and rng.random() < 0.5:
+                u = pos[rng.choice(others)]
+                dx, dy = rng.choice([(0, 0)] + [(1, 0), (-1, 0), (0, 1), (0, -1)] * 3)
+                q = (2 * (u[0] + dx) - x, 2 * (u[1] + dy) - y)
+                if q[1] < y and q not in pos.values():
+                    p = q
+            pos[c] = p
+            pts = [(x, y), p]
+            if p[1] < y - 1 and rng.random() < 0.1:
+                pts.insert(1, (rng.randint(0, cols), rng.randint(p[1] + 1, y - 1)))
+            edges[(v, c)] = pts
+    return t, Drawing(mode="unordered", pos=pos, edges=edges)
+
+
+def star(k):
+    return parse_tree("(" + "()" * k + ")")
+
+
+def wide_oracle_drawing(kind, size, cols, seed):
+    """One drawing on `cols` columns, far more than its nodes: a random
+    downward drawing of a `size`-node tree, or a near-miss drawing of a
+    `size`-leaf star or a `size`-node random tree."""
+    if kind == "random":
+        return random_downward_drawing(size, cols, seed)
+    return near_miss_drawing(star(size) if kind == "star" else gen_random_tree(size, seed=seed), cols, seed)
+
+
+def assert_planarity_agrees_with_oracle(t, d):
+    """check_drawing's planarity verdict against the pairwise oracle;
+    returns the verdict and whether sorting turned the drawing on its side."""
+    with sorts() as spy:
+        rep = check_drawing(t, d, require=("planar",))
+    assert rep.strictly_upward
+    assert rep.planar == (pairwise(t, d, ordered=False) == []), rep.violations
+    return rep, spy.call_count > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["random", "star", "tree"]), size=st.integers(3, 9),
+       cols=st.integers(20, 60), seed=st.integers(0, 10**6))
+def test_planarity_agrees_with_pairwise_oracle_on_wide_drawings(kind, size, cols, seed):
+    if kind == "star":
+        size += 7  # a straight star is wide from about eight leaves on
+    assert_planarity_agrees_with_oracle(*wide_oracle_drawing(kind, size, cols, seed))
+
+
+def test_wide_oracle_drawings_are_mostly_sorted_on_their_side():
+    for kind, sizes in (("random", (3, 9)), ("star", (10, 16)), ("tree", (3, 9))):
+        turned = 0
+        verdicts = set()
+        off_grid = False
+        for seed in range(200):
+            rng = random.Random(seed)
+            t, d = wide_oracle_drawing(kind, rng.randint(*sizes), rng.randint(20, 60), seed)
+            rep, side = assert_planarity_agrees_with_oracle(t, d)
+            turned += side
+            verdicts.add(rep.planar)
+            off_grid |= any("/" in v for v in rep.violations)
+        assert turned > 100, (kind, turned)
+        assert verdicts == {True, False} and off_grid, kind
 
 
 # ----------------------------------------------------------- mutations
@@ -587,22 +675,22 @@ def test_broken_corpus_has_every_violation():
 
 
 def assert_decision_agrees(t, d):
-    """The sorting decision is sound everywhere (when it certifies a
-    drawing, the walk names nothing) and complete wherever the wide guard
-    lets it decide (when the walk names nothing, it certifies).  Returns
-    the decision: True, False, or None for a wide drawing."""
+    """The sorting decision is sound (when it certifies a drawing, the
+    walk names nothing) and complete (when the walk names nothing, it
+    certifies) on every drawing, wide ones included.  Returns it."""
     pos, lines = verify._structural(t, d)
     walked = []
     verify._walk(pos, lines, walked)
     decided = verify._planar_by_sorting(pos, lines)
-    if decided is not None:
-        assert decided == (walked == []), walked
+    assert decided == (walked == []), walked
     return decided
 
 
 def test_decision_agrees_with_walk_on_broken_corpus():
-    seen = {assert_decision_agrees(t, d) for t, d in broken_corpus()}
-    assert seen == {True, False, None}
+    with sorts() as spy:
+        seen = {assert_decision_agrees(t, d) for t, d in broken_corpus()}
+    assert seen == {True, False}
+    assert spy.call_count > 1500  # some drawing is wide in x and sorted on its side
 
 
 def tiny_grid_drawing(n, cols, seed):
@@ -628,6 +716,13 @@ def tiny_grid_drawing(n, cols, seed):
 @settings(max_examples=400, deadline=None)
 @given(n=st.integers(2, 5), cols=st.integers(2, 4), seed=st.integers(0, 10**6))
 def test_decision_agrees_with_walk_on_tiny_grids(n, cols, seed):
+    assert_decision_agrees(*tiny_grid_drawing(n, cols, seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 9), cols=st.integers(20, 60), seed=st.integers(0, 10**6))
+def test_decision_agrees_with_walk_on_wide_grids(n, cols, seed):
+    # four rows and many columns: level segments turn into vertical ones
     assert_decision_agrees(*tiny_grid_drawing(n, cols, seed))
 
 
@@ -660,3 +755,37 @@ def test_constructions_never_walk(monkeypatch):
     for t in frozen_corpus():
         for mode in ("unordered", "ordered3", "ordered1"):
             assert check_drawing(t, FROZEN_DRAW[mode](t), ("planar",)).ok
+
+
+def straight_star(k):
+    """A k-leaf star drawn straight at width k: the root above the middle
+    of its leaves, which stand in order on the row below."""
+    t = star(k)
+    pos = {0: ((k + 1) // 2, 1)} | {c: (c, 0) for c in range(1, k + 1)}
+    return t, Drawing(mode="unordered", pos=pos, edges={(0, c): [pos[0], pos[c]] for c in pos if c})
+
+
+def layered_random(n):
+    """A random n-node tree drawn straight with x = preorder index + 1 and
+    y = -depth; every edge runs one row down, and its x-span covers the
+    subtrees of its earlier siblings."""
+    t = gen_random_tree(n, seed=0)
+    pos = {0: (1, 0)}
+    for c in range(1, n):
+        pos[c] = (c + 1, pos[t.parent(c)][1] - 1)
+    return t, Drawing(mode="ordered", pos=pos,
+                      edges={(t.parent(c), c): [pos[t.parent(c)], pos[c]] for c in range(1, n)})
+
+
+@pytest.mark.parametrize("make", [straight_star, layered_random])
+def test_wide_drawings_are_decided_quickly_without_the_walk(monkeypatch, make):
+    def walk(*args):
+        raise AssertionError("the walk ran on a valid drawing")
+    monkeypatch.setattr(verify, "_walk", walk)
+    t, d = make(10**4)
+    with sorts() as spy:
+        t0 = time.perf_counter()
+        rep = check_drawing(t, d, ("planar", "upward", "order_preserving"))
+        secs = time.perf_counter() - t0
+    assert rep.ok and spy.call_count == 2  # sorted on its side
+    assert secs < 10, secs
