@@ -5,10 +5,11 @@ argv, exit code, stdout and stderr.  A refactor of any layer under the
 CLI must leave it unchanged.  Left out on purpose: exit-3 cases (their
 tracebacks hold file paths), argparse's own usage errors (their text is
 argparse's, not ours; flags that are gone, such as ``--pw-cap``, end
-there), repeated JSON keys and empty drawings (``tests/test_cli.py`` pins
-their messages), and the size caps and ranges (``--pw`` past 14 nodes,
-``--max-degree 0``, the generator and oracle caps), whose messages are the
-library's own and are pinned by ``test_library_caps_exit_2``.
+there), repeated JSON keys and empty drawings (``tests/test_cli.py`` and
+``tests/test_layout.py`` pin their messages), and the size caps and
+ranges (``--pw`` past 14 nodes, ``--max-degree 0``, the generator and
+oracle caps), whose messages are the library's own and are pinned by
+``test_library_caps_exit_2``.
 """
 
 import hashlib
