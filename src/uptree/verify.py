@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
-from operator import le
+from itertools import groupby
+from operator import itemgetter, le
 from typing import NamedTuple, Optional
 
 from .layout import Drawing, _extent, _prune
@@ -150,8 +151,13 @@ def _y_at(y1, dy, dx, dist):
 
 
 def _planarity(pos, lines, violations):
-    """Append planarity violations (at most a handful; we stop digging at
-    the first few per category -- the report is a verdict, not a census)."""
+    """Append the planarity violations of a drawing that sorting rejects.
+
+    Every shared node position is named (and then nothing else), and the
+    first overlap in every column.  Then crossings, overlaps and touches
+    are named until the whole report, upward and order violations
+    included, holds more than 8 violations; the point at hand is finished.
+    """
     if not _planar_by_sorting(pos, lines):
         _walk(pos, lines, violations)
 
@@ -207,7 +213,7 @@ def _planar_by_sorting(pos, lines, turned=False):
 
 
 def _walk(pos, lines, violations):
-    """Name the planarity violations, wall group by wall group."""
+    """Name the planarity violations, exact point by exact point."""
     posmap = {}
     for u in sorted(pos):
         p = pos[u]
@@ -218,145 +224,108 @@ def _walk(pos, lines, violations):
     if len(posmap) < len(pos):
         return  # coordinates are junk; fine-grained sweep would mislabel
 
-    segs = []  # (key, index, a, b)
-    last = {}
+    segs = []  # (key, index)
+    vert = {}  # column -> [(ylo, yhi, sid)]
+    nv = []  # (left end, right end, sid)
     for key, pts in lines.items():
         for i, (a, b) in enumerate(zip(pts, pts[1:])):
-            segs.append((key, i, a, b))
-        last[key] = len(pts) - 2  # index of the final segment
-
-    vert = {}  # column -> [(ylo, yhi, sid)]
-    nv = []  # (x1, x2, y1, y2, sid), x1 < x2
-    for sid, (key, i, a, b) in enumerate(segs):
-        if a[0] == b[0]:
-            vert.setdefault(a[0], []).append((min(a[1], b[1]), max(a[1], b[1]), sid))
-        else:
-            (x1, y1), (x2, y2) = (a, b) if a[0] < b[0] else (b, a)
-            nv.append((x1, x2, y1, y2, sid))
+            if a[0] == b[0]:
+                vert.setdefault(a[0], []).append((min(a[1], b[1]), max(a[1], b[1]), len(segs)))
+            else:
+                nv.append((min(a, b), max(a, b), len(segs)))
+            segs.append((key, i))
 
     def name(sid):
-        key, i, _, _ = segs[sid]
-        return f"edge {key} segment {i}"
+        return "edge {} segment {}".format(*segs[sid])
 
     # vertical / vertical: per column the intervals must be disjoint
-    col_ok = {}
+    cols = {}  # column -> its intervals, sorted, when none overlap
     for x, ivs in vert.items():
         ivs.sort()
-        ok = True
-        hi, hid = ivs[0][1], ivs[0][2]
+        hi, hid = ivs[0][1:]
         for ylo, yhi, sid in ivs[1:]:
             if ylo < hi:
                 violations.append(f"planar: {name(sid)} overlaps {name(hid)} in column {x}")
-                ok = False
                 break
             if yhi > hi:
                 hi, hid = yhi, sid
-        col_ok[x] = ok
+        else:
+            cols[x] = ivs
 
-    walls = sorted(set([x1 for x1, *_ in nv] + [x2 for _, x2, *_ in nv] + list(vert)))
+    walls = sorted({p[0] for a, b, _ in nv for p in (a, b)}.union(vert))
 
-    # wall groups: every point where a segment meets an interesting column
-    groups = {x: {} for x in walls}
-    strips = [[] for _ in range(max(len(walls) - 1, 0))]
-    for x1, x2, y1, y2, sid in nv:
-        dx, dy = x2 - x1, y2 - y1
-        i1 = bisect_left(walls, x1)
-        i2 = bisect_left(walls, x2)
-        groups[x1].setdefault(y1, []).append((sid, True))
+    # every exact point where a segment meets a wall -> [(sid, whether it ends there)]
+    groups = {}
+    strips = [[] for _ in walls[1:]]
+    for (x1, y1), (x2, y2), sid in nv:
+        groups.setdefault((x1, y1), []).append((sid, True))
         prev = y1
-        for k in range(i1 + 1, i2 + 1):
-            x = walls[k]
-            y = _y_at(y1, dy, dx, x - x1)
-            groups[x].setdefault(y, []).append((sid, k == i2))
+        for k in range(bisect_left(walls, x1) + 1, bisect_left(walls, x2) + 1):
+            y = _y_at(y1, y2 - y1, x2 - x1, walls[k] - x1)
+            groups.setdefault((walls[k], y), []).append((sid, walls[k] == x2))
             strips[k - 1].append((prev, y, sid))
             prev = y
     for x, ivs in vert.items():
         for ylo, yhi, sid in ivs:
-            groups[x].setdefault(ylo, []).append((sid, True))
-            groups[x].setdefault(yhi, []).append((sid, True))
+            groups.setdefault((x, ylo), []).append((sid, True))
+            groups.setdefault((x, yhi), []).append((sid, True))
 
     # proper crossings inside a strip = strict inversion between the walls
     for k, cand in enumerate(strips):
-        if len(cand) < 2:
-            continue
         cand.sort()
-        best_r, best_sid = None, None
-        j = 0
-        while j < len(cand):
-            j2 = j
-            while j2 < len(cand) and cand[j2][0] == cand[j][0]:
-                j2 += 1
-            for yl, yr, sid in cand[j:j2]:
+        best_r = best_sid = None
+        for _, tie in groupby(cand, itemgetter(0)):
+            tie = list(tie)
+            for _, yr, sid in tie:
                 if best_r is not None and yr < best_r:
-                    violations.append(
-                        f"planar: {name(sid)} crosses {name(best_sid)} between x={walls[k]} and x={walls[k + 1]}"
-                    )
+                    violations.append(f"planar: {name(sid)} crosses {name(best_sid)} "
+                                      f"between x={walls[k]} and x={walls[k + 1]}")
                     if len(violations) > 8:
                         return
-            for yl, yr, sid in cand[j:j2]:
-                if best_r is None or yr > best_r:
-                    best_r, best_sid = yr, sid
-            j = j2
+            _, yr, sid = max(tie, key=itemgetter(1))
+            if best_r is None or yr > best_r:
+                best_r, best_sid = yr, sid
         for (al, ar, asid), (bl, br, bsid) in zip(cand, cand[1:]):
             if al == bl and ar == br:
                 violations.append(f"planar: {name(asid)} and {name(bsid)} are collinear and overlap")
                 if len(violations) > 8:
                     return
 
-    # shared points on walls
-    def is_terminal(sid, p):
-        key, i, a, b = segs[sid]
-        pts = lines[key]
-        return (i == 0 and p == pts[0]) or (i == last[key] and p == pts[-1])
-
-    for x in walls:
-        ivs = vert[x] if col_ok.get(x) else ()
-        los = [iv[0] for iv in ivs]
-        for y, members in groups[x].items():
-            grid = y.denominator == 1  # y is an int exactly on a grid point
-            # a vertical interval swallowing this point joins as an interior member
-            if ivs:
-                # an off-grid y lies strictly between its floor f and f + 1
-                f = y if grid else y.numerator // y.denominator
-                j = bisect_right(los, f) - 1
-                if j >= 0:
-                    ylo, yhi, sid = ivs[j]
-                    if (ylo < f or not grid) and f < yhi:
-                        members = members + [(sid, False)]
-            node = posmap.get((x, y)) if grid else None
-            if node is not None:
-                for sid, is_end in members:
-                    key = segs[sid][0]
-                    if not is_end:
-                        violations.append(f"planar: node {node} lies inside {name(sid)}")
-                    elif node not in key:
-                        violations.append(f"planar: {name(sid)} touches node {node} at {(x, y)}")
-                    elif not is_terminal(sid, (x, y)):
-                        violations.append(f"planar: edge {key} bends at node {node}")
-            elif len(members) > 1:
-                if any(not is_end for _, is_end in members):
-                    a = members[0][0]
-                    b = next(s for s, e in members if not e)
-                    if a == b:
-                        b = members[1][0]
-                    violations.append(f"planar: {name(a)} touches {name(b)} at x={x}, y={y}")
-                else:
-                    by_key = {}
-                    for sid, _ in members:
-                        by_key.setdefault(segs[sid][0], []).append(sid)
-                    if len(by_key) > 1:
-                        k1, k2 = sorted(by_key)[:2]
-                        violations.append(
-                            f"planar: edges {k1} and {k2} touch at x={x}, y={y} away from any node"
-                        )
-                    else:
-                        (key, sids), = by_key.items()
-                        sids.sort(key=lambda s: segs[s][1])
-                        idx = [segs[s][1] for s in sids]
-                        if len(idx) != 2 or idx[1] != idx[0] + 1:
-                            violations.append(f"planar: edge {key} touches itself at x={x}, y={y}")
-            if len(violations) > 8:
-                return
+    # shared points, wall by wall; the sort is stable, so each wall keeps its insertion order
+    for p, members in sorted(groups.items(), key=lambda g: g[0][0]):
+        x, y = p
+        ivs = cols.get(x)
+        if ivs:
+            # a vertical swallowing the point joins as an interior member (index -1 swallows none)
+            ylo, yhi, sid = ivs[bisect_right(ivs, y, key=itemgetter(0)) - 1]
+            if ylo < y < yhi:
+                members = members + [(sid, False)]
+        node = posmap.get(p)
+        if node is not None:
+            for sid, is_end in members:
+                key, i = segs[sid]
+                pts = lines[key]
+                if not is_end:
+                    violations.append(f"planar: node {node} lies inside {name(sid)}")
+                elif node not in key:
+                    violations.append(f"planar: {name(sid)} touches node {node} at {p}")
+                elif not (i == 0 and p == pts[0] or i == len(pts) - 2 and p == pts[-1]):
+                    violations.append(f"planar: edge {key} bends at node {node}")
+        elif len(members) > 1:
+            inner = [sid for sid, is_end in members if not is_end]
+            if inner:
+                a = members[0][0]
+                b = inner[0] if inner[0] != a else members[1][0]
+                violations.append(f"planar: {name(a)} touches {name(b)} at x={x}, y={y}")
+            else:
+                keys = sorted({segs[sid][0] for sid, _ in members})
+                if len(keys) > 1:
+                    violations.append(f"planar: edges {keys[0]} and {keys[1]} touch "
+                                      f"at x={x}, y={y} away from any node")
+                elif len(members) != 2:  # a bend ends its two segments; a repeated point ends more
+                    violations.append(f"planar: edge {keys[0]} touches itself at x={x}, y={y}")
+        if len(violations) > 8:
+            return
 
 
 def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyReport:
@@ -478,12 +447,8 @@ def extract_rank_witness(
     # for n >= 2 every node ends an edge, so the edges hold the smallest x
     X = x0 - min(p[0] for pts in d.edges.values() for p in pts) + 1
 
-    # nodes of each root subtree
-    owner = {c: i for i, c in enumerate(t.children(t.root), start=1)}
-    for v in range(1, t.n):
-        if v not in owner:
-            owner[v] = owner[t.parent(v)]
-
+    # with preorder ids the i-th root child's subtree runs up to the next root child
+    roots = t.children(t.root)
     lo: dict = {}
     hi: dict = {}
 
@@ -494,7 +459,7 @@ def extract_rank_witness(
     # a node in the root's column ends its parent edge there, so the
     # edges alone find every touch
     for (p, c), pts in d.edges.items():
-        i = owner[c]
+        i = bisect_right(roots, c)
         for a, b in zip(pts, pts[1:]):
             if a[0] == b[0]:
                 # a repeated point is no segment, least of all at the root
