@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -247,6 +248,24 @@ def test_equivalence_suite_echoes_config():
 def test_oracle_config_validates():
     with pytest.raises(ValueError):
         equivalence_suite(max_n=0)
+
+
+# ---------------------------------------------------------------- pathwidth
+
+# pw of every tree with at most 8 nodes, then of 40 seeded random trees
+# of 12-14 nodes: 666 trees
+FROZEN_PATHWIDTHS = "1ed11911a521be15ba49d26b7b8e32e94a0da02458b6a22f6a727512160fddbc"
+
+
+def test_frozen_pathwidths():
+    h = hashlib.sha256()
+    trees = itertools.chain(
+        itertools.chain.from_iterable(enumerate_trees(n) for n in range(1, 9)),
+        (gen_random_tree(12 + s % 3, seed=s) for s in range(40)),
+    )
+    for t in trees:
+        h.update(f"{serialize_tree(t)} {pathwidth_oracle(t)}\n".encode())
+    assert h.hexdigest() == FROZEN_PATHWIDTHS
 
 
 # ------------------------------------------------------------------ memos
