@@ -33,7 +33,7 @@ from itertools import chain, islice
 from typing import NamedTuple, Optional
 
 from .ranking import RankAnnotation, rank
-from .tree import InputError, Tree, _is_json_int
+from .tree import InputError, Tree
 from .widths import RpwAnnotation, rooted_pathwidth
 
 __all__ = [
@@ -406,7 +406,7 @@ _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 def _json_int(v):
     # int() would read true, 1.9 and "1" all as 1
-    if not _is_json_int(v):
+    if type(v) is not int:
         raise ValueError(f"{v!r} is not an integer")
     return v
 

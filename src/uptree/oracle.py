@@ -264,20 +264,19 @@ def pathwidth_oracle(t: Tree, max_n: int = 14) -> int:
     the tree (any two endpoints, possibly equal) of the maximum over
     connected components T' of T - P of 1 + pw(T').  When removing P
     leaves nothing, the maximum is 0, so any tree that *is* a path gets
-    pw 1.  Memoized on a canonical unrooted form within the call; capped
-    at max_n nodes.
+    pw 1.  Paths and the pieces left around them come from the preorder
+    parent array, with no search.  Memoized on a canonical unrooted form
+    within the call; capped at max_n nodes.
     """
     if t.n > max_n:
         raise InputError(f"pathwidth_oracle capped at n <= {max_n}, got {t.n}")
-    adj: dict = {v: [] for v in range(t.n)}
-    for v in range(t.n):
-        for c in t.children(v):
-            adj[v].append(c)
-            adj[c].append(v)
-    return _pw_of(frozenset(range(t.n)), adj, {})
+    par = t._parent
+    # neighbours for the canonical form: the parent (the root has none), then the children
+    adj = [(par[v], *t.children(v)) if v else t.children(v) for v in range(t.n)]
+    return _pw_of(frozenset(range(t.n)), par, adj, {})
 
 
-def _pw_of(comp: frozenset, adj: dict, memo: dict) -> int:
+def _pw_of(comp: frozenset, par, adj, memo: dict) -> int:
     if len(comp) == 1:
         return 0
     key = _unrooted_canon(comp, adj)
@@ -288,11 +287,11 @@ def _pw_of(comp: frozenset, adj: dict, memo: dict) -> int:
     best = None
     for ia, a in enumerate(nodes):
         for b in nodes[ia:]:
-            path = _tree_path(a, b, comp, adj)
+            path = _tree_path(a, b, par)
             # the path itself occupies one track, so the floor is 1
             worst = 1
-            for sub in _components(comp.difference(path), adj):
-                worst = max(worst, 1 + _pw_of(sub, adj, memo))
+            for sub in _components(comp.difference(path), par):
+                worst = max(worst, 1 + _pw_of(sub, par, adj, memo))
                 if best is not None and worst >= best:
                     break
             if best is None or worst < best:
@@ -301,44 +300,27 @@ def _pw_of(comp: frozenset, adj: dict, memo: dict) -> int:
     return best
 
 
-def _tree_path(a, b, comp, adj):
-    # unique a-b path inside comp
-    if a == b:
-        return {a}
-    prev = {a: a}
-    queue = [a]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in adj[v]:
-                if w in comp and w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        if b in prev:
-            break
-        queue = nxt
-    path = {b}
-    v = b
-    while v != a:
-        v = prev[v]
-        path.add(v)
+def _tree_path(a, b, par):
+    # unique a-b path: a preorder id is never an ancestor of a smaller
+    # one, so the larger end climbs until the two meet
+    path = {a, b}
+    while a != b:
+        if a < b:
+            a, b = b, a
+        a = par[a]
+        path.add(a)
     return path
 
 
-def _components(rest: frozenset, adj):
-    left = set(rest)
-    while left:
-        start = left.pop()
-        comp = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w in left:
-                    left.remove(w)
-                    comp.add(w)
-                    queue.append(w)
-        yield frozenset(comp)
+def _components(rest: frozenset, par):
+    # a parent's id is smaller than its child's, so in sorted order each
+    # node joins its parent's piece, or starts one when the parent is gone
+    top: dict = {}
+    pieces: dict = {}
+    for v in sorted(rest):
+        top[v] = r = top.get(par[v], v)
+        pieces.setdefault(r, []).append(v)
+    return map(frozenset, pieces.values())
 
 
 def _unrooted_canon(comp: frozenset, adj):
@@ -410,7 +392,7 @@ def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
     """Cross-check five phrasings of witness existence on every small tree.
 
     For every ordered tree with 2 <= n <= max_n and every W in 1..max_W,
-    evaluates over the root's child ranks:
+    both capped at 15, evaluates over the root's child ranks:
 
     * ``witness``        -- some width-W witness exists (brute),
     * ``corner_X``       -- one exists with X in {1, W},
@@ -425,6 +407,9 @@ def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
         raise InputError("max_n must be >= 1")
     if max_n > _ENUM_CAP:
         raise InputError(f"max_n={max_n} exceeds enumeration cap {_ENUM_CAP}")
+    # no tree within the cap has rank above 4; a larger W only costs time
+    if not 1 <= max_W <= _ENUM_CAP:
+        raise InputError(f"max_W must be in 1..{_ENUM_CAP}")
     # the one deliberate contact with the engine: the scans are the subject
     from .ranking import CornerWitness, corner_scan
 

@@ -251,18 +251,14 @@ def tree_to_json(t: Tree) -> dict:
     return {"root": t.root, "nodes": nodes}
 
 
-def _is_json_int(x) -> bool:
-    # JSON true and 1.0 compare equal to 1; neither may stand for 1
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def tree_from_json(obj) -> Tree:
     """Build a Tree from {"root": id, "nodes": [{"id", "children", "label"?}]}.
 
     Node ids may be arbitrary integers; the result is renumbered to
-    canonical preorder ids.  Ids that are not integers (booleans and
-    floats included), duplicate ids, several parents, unreachable nodes
-    and a label that is neither a string nor null raise ParseError.
+    canonical preorder ids.  Ids that are not Python ints (booleans,
+    floats and int subclasses included), duplicate ids, several parents,
+    unreachable nodes and a label that is neither a string nor null raise
+    ParseError.
     """
     if not isinstance(obj, dict) or "root" not in obj or "nodes" not in obj:
         raise ParseError("tree JSON must have 'root' and 'nodes'", 0)
@@ -278,8 +274,8 @@ def tree_from_json(obj) -> Tree:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError("each node needs an 'id'", 0)
         nid = rec["id"]
-        # ``type(x) is int`` settles the common case without a call
-        if type(nid) is not int and not _is_json_int(nid):
+        # JSON true and 1.0 compare equal to 1; neither may stand for 1
+        if type(nid) is not int:
             raise ParseError(f"node id {nid!r} is not an integer", 0)
         if nid in kids:
             raise ParseError(f"duplicate node id {nid}", 0)
@@ -287,7 +283,7 @@ def tree_from_json(obj) -> Tree:
         if not isinstance(cs, list):
             raise ParseError(f"children of {nid} must be a list", 0)
         for c in cs:
-            if type(c) is not int and not _is_json_int(c):
+            if type(c) is not int:
                 raise ParseError(f"child id {c!r} under {nid} is not an integer", 0)
         kids[nid] = cs
         label = rec.get("label")
@@ -296,7 +292,7 @@ def tree_from_json(obj) -> Tree:
                 raise ParseError(f"label of node {nid} is not a string or null", 0)
             labels_raw[nid] = label
     root = obj["root"]
-    if not _is_json_int(root):
+    if type(root) is not int:
         raise ParseError(f"root {root!r} is not an integer", 0)
     if root not in kids:
         raise ParseError(f"root {root!r} is not among the nodes", 0)

@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 
 from .layout import Drawing, _extent, _prune
 from .ranking import RankWitness, rank, validate_rank_witness
-from .tree import InputError, Tree, _is_json_int, _renumbered
+from .tree import InputError, Tree, _renumbered
 
 __all__ = [
     "DrawingMismatch",
@@ -84,9 +84,8 @@ def _structural(t: Tree, d: Drawing):
     pos = {}
     for u, p in d.pos.items():
         p = tuple(p)
-        # two plain ints settle it without a call; a bool is no coordinate
-        if len(p) != 2 or not (type(p[0]) is type(p[1]) is int
-                                or _is_json_int(p[0]) and _is_json_int(p[1])):
+        # a bool is no coordinate
+        if len(p) != 2 or not (type(p[0]) is type(p[1]) is int):
             raise DrawingMismatch(f"position of node {u} is not an integer pair")
         pos[u] = p
     want = set(zip(t._parent[1:], range(1, t.n)))
@@ -101,8 +100,7 @@ def _structural(t: Tree, d: Drawing):
         clean = []
         for q in pts:
             q = tuple(q)
-            if len(q) != 2 or not (type(q[0]) is type(q[1]) is int
-                                    or _is_json_int(q[0]) and _is_json_int(q[1])):
+            if len(q) != 2 or not (type(q[0]) is type(q[1]) is int):
                 raise DrawingMismatch(f"edge {key} has a non-integer point")
             if not clean or q != clean[-1]:
                 clean.append(q)

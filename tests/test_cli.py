@@ -432,8 +432,11 @@ def test_render_rejects_tree_text(capsys):
     (["gen", "random", str(10**9)], "n must be <= 2**20"),
     (["oracle", "nw", "2", "--n-max", "99"], "n_max must be in 1..15"),
     (["oracle", "equivalence", "--max-n", "99"], "max_n=99 exceeds enumeration cap 15"),
+    (["oracle", "equivalence", "--max-n", "3", "--max-w", "0"], "max_W must be in 1..15"),
+    (["oracle", "equivalence", "--max-n", "3", "--max-w", "16"], "max_W must be in 1..15"),
 ], ids=["pw-star16", "pw-n15", "max-degree-0", "binary-64", "path-2**20+1", "quintary-12",
-        "random-10**9", "nw-n-max-99", "equivalence-max-n-99"])
+        "random-10**9", "nw-n-max-99", "equivalence-max-n-99", "equivalence-max-w-0",
+        "equivalence-max-w-16"])
 def test_library_caps_exit_2(capsys, argv, message):
     # the library's own message, and no second check in front of it
     assert run(capsys, *argv) == (2, "", f"uptree: {message}\n")

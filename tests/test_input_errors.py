@@ -5,7 +5,9 @@ the CLI maps it, and nothing else, to exit 2.  The checks that only a
 fault in the library can trip stay plain ``ValueError`` (exit 3).
 """
 
+import re
 import time
+from enum import IntEnum
 
 import pytest
 
@@ -77,6 +79,8 @@ INPUT_ERRORS = {
     "min_nodes_for_rank-n_max": lambda: min_nodes_for_rank(2, n_max=16),
     "equivalence_suite-low": lambda: equivalence_suite(max_n=0),
     "equivalence_suite-high": lambda: equivalence_suite(max_n=16),
+    "equivalence_suite-max_W-low": lambda: equivalence_suite(max_n=3, max_W=0),
+    "equivalence_suite-max_W-high": lambda: equivalence_suite(max_n=3, max_W=16),
     "parse_tree": lambda: parse_tree("(()"),
     "tree_from_json": lambda: tree_from_json({"root": 0}),
     "tree_from_json-root": lambda: tree_from_json({"root": 7, "nodes": [{"id": 0}]}),
@@ -122,3 +126,48 @@ def test_range_checks_come_before_the_work(call):
     with pytest.raises(InputError):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+class Id(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+def _tree_json(root=0, ids=(0, 1), child=1):
+    return {"root": root, "nodes": [{"id": ids[0], "children": [child]}, {"id": ids[1]}]}
+
+
+def _drawing_json(coord=1, point=1, end=0):
+    return {"mode": "unordered", "positions": {"0": [1, 2], "1": [coord, 1]},
+            "edges": [{"from": end, "to": 1, "points": [[1, 2], [point, 1]]}]}
+
+
+def _drawing(coord=1, point=1):
+    return Drawing(mode="unordered", pos={0: (1, 2), 1: (coord, 1)},
+                   edges={(0, 1): [(1, 2), (point, 1)]})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: tree_from_json(_tree_json(ids=(0, Id.ONE))), ParseError,
+     "node id <Id.ONE: 1> is not an integer"),
+    (lambda: tree_from_json(_tree_json(child=Id.ONE)), ParseError,
+     "child id <Id.ONE: 1> under 0 is not an integer"),
+    (lambda: tree_from_json(_tree_json(root=Id.ZERO)), ParseError,
+     "root <Id.ZERO: 0> is not an integer"),
+    (lambda: drawing_from_json(_drawing_json(coord=Id.ONE)), InputError,
+     "<Id.ONE: 1> is not an integer"),
+    (lambda: drawing_from_json(_drawing_json(point=Id.ONE)), InputError,
+     "<Id.ONE: 1> is not an integer"),
+    (lambda: drawing_from_json(_drawing_json(end=Id.ZERO)), InputError,
+     "<Id.ZERO: 0> is not an integer"),
+    (lambda: check_drawing(PAIR, _drawing(coord=Id.ONE)), DrawingMismatch,
+     "position of node 1 is not an integer pair"),
+    (lambda: check_drawing(PAIR, _drawing(point=Id.ONE)), DrawingMismatch,
+     "edge (0, 1) has a non-integer point"),
+], ids=["tree-id", "tree-child", "tree-root", "drawing-coord", "drawing-point",
+        "drawing-edge-end", "check-position", "check-point"])
+def test_int_subclasses_are_refused(call, error, message):
+    # only a plain int is an id or a coordinate: an IntEnum member is
+    # refused where 1.0 is, though it too compares equal to 1
+    with pytest.raises(error, match=re.escape(message)):
+        call()
