@@ -133,8 +133,8 @@ class Id(IntEnum):
     ONE = 1
 
 
-def _tree_json(root=0, ids=(0, 1), child=1):
-    return {"root": root, "nodes": [{"id": ids[0], "children": [child]}, {"id": ids[1]}]}
+def _tree_json(root=0, nid=1, child=1):
+    return {"root": root, "nodes": [{"id": 0, "children": [child]}, {"id": nid}]}
 
 
 def _drawing_json(coord=1, point=1, end=0):
@@ -148,7 +148,7 @@ def _drawing(coord=1, point=1):
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda: tree_from_json(_tree_json(ids=(0, Id.ONE))), ParseError,
+    (lambda: tree_from_json(_tree_json(nid=Id.ONE)), ParseError,
      "node id <Id.ONE: 1> is not an integer"),
     (lambda: tree_from_json(_tree_json(child=Id.ONE)), ParseError,
      "child id <Id.ONE: 1> under 0 is not an integer"),
