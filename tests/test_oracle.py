@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uptree.oracle as oracle_module
+import uptree.ranking as ranking_module
 from uptree.oracle import (
     NWRecord,
     corner_witness_exists_brute,
@@ -236,6 +237,31 @@ def test_equivalence_suite_small():
     assert rep["disagreement_count"] == 0
     assert rep["trees_checked"] == sum(CATALAN[1:7])
     assert rep["pairs_checked"] == rep["trees_checked"] * 4
+
+
+def test_equivalence_suite_reports_a_broken_scan(monkeypatch):
+    # with no right scan succeeding, the scan vote splits from the others
+    # wherever only a right witness exists: the report must count every
+    # such (tree, W) and name the first one in enumeration order
+    def left_only(ranks, W, side):
+        return corner_scan(ranks, W, side) if side == "left" else None
+
+    expected = []
+    for n in range(2, 8):
+        for t in enumerate_trees(n):
+            ann = rank(t).rank
+            ranks = [ann[c] for c in t.children(t.root)]
+            for W in range(1, 5):
+                scan = isinstance(left_only(ranks, W, "left"), CornerWitness)
+                if scan != rank_witness_exists_brute(ranks, W):
+                    expected.append((n, serialize_tree(t), W))
+    monkeypatch.setattr(ranking_module, "corner_scan", left_only)
+    rep = equivalence_suite(max_n=7, max_W=4)
+    assert not rep["agree"]
+    assert rep["disagreement_count"] == len(expected) == 9
+    first = rep["disagreements"][0]
+    assert (first["n"], first["tree"], first["W"]) == expected[0] == (6, "(()()(()()))", 2)
+    assert first["witness"] and not first["scan"]
 
 
 def test_equivalence_suite_echoes_config():
