@@ -29,6 +29,6 @@ print("rank distribution:", dict(sorted(per_rank.items())))
 
 print()
 print("smallest tree needing each width:")
-for W in (1, 2, 3):
-    rec = min_nodes_for_rank(W, n_max=12)
+for W in (1, 2, 3, 4):
+    rec = min_nodes_for_rank(W, n_max=15)
     print(f"  rank {W}: {rec.min_nodes_found} nodes   (2^W - 1 = {2**W - 1})")

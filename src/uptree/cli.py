@@ -275,13 +275,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("nw", help="minimal node count reaching a given rank")
     q.add_argument("W", type=int, help="target rank (1..4)")
     q.add_argument("--n-max", type=int, default=12,
-                   help="enumerate trees up to this many nodes (default 12)")
+                   help="search trees up to this many nodes (default 12)")
     q.set_defaults(fn=_cmd_oracle)
 
     q = osub.add_parser("equivalence",
                         help="five witness-existence phrasings on all small trees")
     q.add_argument("--max-n", type=int, default=8,
-                   help="largest tree size to enumerate (default 8)")
+                   help="largest tree size to check (default 8)")
     q.add_argument("--max-w", type=int, default=4,
                    help="largest width to test (default 4)")
     q.set_defaults(fn=_cmd_oracle)

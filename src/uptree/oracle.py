@@ -14,6 +14,10 @@ implementations elsewhere have something independent to disagree with:
 * ``equivalence_suite`` -- checks that five different phrasings of
   "a width-W witness exists" agree on every small tree.
 
+Memos are keyed on the least that fixes the answer: a rank on the
+child-rank tuple, pw on a piece's rooted shape.  The last two walk a
+table per size of root child-rank tuples, counted and named, not trees.
+
 The brute-force paths never call the linear-time engines in
 :mod:`uptree.ranking` or :mod:`uptree.widths`; the only import of the rank
 engine lives inside ``equivalence_suite``, where the scans are the thing
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .tree import InputError, Tree, parse_tree, serialize_tree
+from .tree import InputError, Tree, parse_tree
 
 __all__ = [
     "NWRecord",
@@ -40,7 +44,7 @@ __all__ = [
     "equivalence_suite",
 ]
 
-# Catalan(14) is already 2.6 million trees; past that enumeration is a typo.
+# Catalan(14) is 2.6 million trees; the size searches stop where enumeration does.
 _ENUM_CAP = 15
 
 
@@ -180,42 +184,61 @@ def _gaps_ok(child_ranks, W, wprime, idx, side) -> bool:
     return True
 
 
-def _shapes(t: Tree) -> list:
-    out = [None] * t.n
-    for v in t.bottom_up():
-        out[v] = tuple(out[c] for c in t.children(v))
-    return out
-
-
-def _rank_of_shape(shape, memo: dict) -> int:
-    # memo maps ordered shapes (nested tuples) to their rank; each public
-    # entry point brings its own, so nothing outlives the call
-    if not shape:
-        return 1
-    got = memo.get(shape)
-    if got is not None:
-        return got
-    ranks = [_rank_of_shape(c, memo) for c in shape]
-    W = 1
-    while not rank_witness_exists_brute(ranks, W):
-        W += 1
-        # one past the max child rank always admits a witness (big = {c_1});
-        # running past it means the enumeration itself is broken
-        assert W <= max(ranks) + 1, "brute witness search ran away"
-    memo[shape] = W
-    return W
+def _rank_of_ranks(ranks: tuple, memo: dict) -> int:
+    # memo maps child-rank tuples to the rank they give (a leaf's is ());
+    # each public entry point brings its own, so nothing outlives the call
+    got = memo.get(ranks)
+    if got is None:
+        got = 1
+        while ranks and not rank_witness_exists_brute(ranks, got):
+            got += 1
+            # one past the max child rank always admits a witness (big = {c_1});
+            # running past it means the enumeration itself is broken
+            assert got <= max(ranks) + 1, "brute witness search ran away"
+        memo[ranks] = got
+    return got
 
 
 def rank_bruteforce(t: Tree, max_n: int = 11) -> int:
     """Least W with a width-W witness at every node, 1 for a single node.
 
-    Child ranks are computed recursively by the same enumeration, memoized
-    on the ordered shape.  The default cap guards against the per-node
-    2^degree blowup; raise it only for trees known to have small degrees.
+    Each node is ranked from its children's ranks alone, memoized on that
+    tuple.  The default cap guards against the per-node 2^degree blowup;
+    raise it only for trees known to have small degrees.
     """
     if t.n > max_n:
         raise InputError(f"tree has {t.n} nodes, oracle cap is {max_n}")
-    return _rank_of_shape(_shapes(t)[t.root], {})
+    memo: dict = {}
+    rk = [0] * t.n
+    for v in t.bottom_up():
+        rk[v] = _rank_of_ranks(tuple(rk[c] for c in t.children(v)), memo)
+    return rk[t.root]
+
+
+def _size_tables(n_max: int, memo: dict) -> Iterator[tuple]:
+    """Yield (n, table, by_rank) for n = 1..n_max: ``table`` maps each root
+    child-rank tuple of the n-node trees to (how many trees have it, the
+    least paren word of one); ``by_rank`` does the same for their ranks."""
+    tables: list = []
+    by_ranks: list = []
+    for n in range(1, n_max + 1):
+        # the root's first child is a tree of t nodes and rank r; the rest
+        # are the children of the root of a tree of n - t nodes
+        table = {} if n > 1 else {(): (1, "()")}
+        for t in range(1, n):
+            for r, (c1, w1) in by_ranks[t - 1].items():
+                for rest, (c2, w2) in tables[n - t - 1].items():
+                    key, word = (r, *rest), f"({w1}{w2[1:-1]})"
+                    c, w = table.get(key, (0, word))
+                    table[key] = (c + c1 * c2, min(w, word))
+        by_rank: dict = {}
+        for k, (c, w) in table.items():
+            r = _rank_of_ranks(k, memo)
+            c0, w0 = by_rank.get(r, (0, w))
+            by_rank[r] = (c0 + c, min(w0, w))
+        tables.append(table)
+        by_ranks.append(by_rank)
+        yield n, table, by_rank
 
 
 def rpw_path_oracle(t: Tree, max_n: int = 16) -> int:
@@ -265,25 +288,29 @@ def pathwidth_oracle(t: Tree, max_n: int = 14) -> int:
     connected components T' of T - P of 1 + pw(T').  When removing P
     leaves nothing, the maximum is 0, so any tree that *is* a path gets
     pw 1.  Paths and the pieces left around them come from the preorder
-    parent array, with no search.  Memoized on a canonical unrooted form
-    within the call; capped at max_n nodes.
+    parent array, with no search.  Memoized within the call on each
+    piece's shape rooted at its top node; capped at max_n nodes.
     """
     if t.n > max_n:
         raise InputError(f"pathwidth_oracle capped at n <= {max_n}, got {t.n}")
-    par = t._parent
-    # neighbours for the canonical form: the parent (the root has none), then the children
-    adj = [(par[v], *t.children(v)) if v else t.children(v) for v in range(t.n)]
-    return _pw_of(frozenset(range(t.n)), par, adj, {})
+    return _pw_of(frozenset(range(t.n)), t._parent, {})
 
 
-def _pw_of(comp: frozenset, par, adj, memo: dict) -> int:
+def _pw_of(comp: frozenset, par, memo: dict) -> int:
     if len(comp) == 1:
         return 0
-    key = _unrooted_canon(comp, adj)
+    # pw depends on the unrooted tree alone, so the piece's shape rooted at
+    # its top node, its smallest id, keys the memo; a child's id exceeds its
+    # parent's, so the descending sweep shapes each child before its parent
+    nodes = sorted(comp)
+    kids: dict = {v: [] for v in nodes}
+    for v in reversed(nodes):
+        key = tuple(sorted(kids.pop(v)))
+        if par[v] in kids:
+            kids[par[v]].append(key)
     got = memo.get(key)
     if got is not None:
         return got
-    nodes = sorted(comp)
     best = None
     for ia, a in enumerate(nodes):
         for b in nodes[ia:]:
@@ -291,7 +318,7 @@ def _pw_of(comp: frozenset, par, adj, memo: dict) -> int:
             # the path itself occupies one track, so the floor is 1
             worst = 1
             for sub in _components(comp.difference(path), par):
-                worst = max(worst, 1 + _pw_of(sub, par, adj, memo))
+                worst = max(worst, 1 + _pw_of(sub, par, memo))
                 if best is not None and worst >= best:
                     break
             if best is None or worst < best:
@@ -323,35 +350,6 @@ def _components(rest: frozenset, par):
     return map(frozenset, pieces.values())
 
 
-def _unrooted_canon(comp: frozenset, adj):
-    # Root at the tree's center (or the smaller form of the two centers)
-    # and build a sorted nested-tuple signature.
-    if len(comp) == 1:
-        return ()
-    degree = {v: sum(1 for w in adj[v] if w in comp) for v in comp}
-    alive = set(comp)
-    layer = [v for v in alive if degree[v] <= 1]
-    while len(alive) > 2:
-        nxt = []
-        for v in layer:
-            alive.remove(v)
-            for w in adj[v]:
-                if w in alive:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = sorted(alive)
-    return min(_rooted_signature(c, comp, adj) for c in centers)
-
-
-def _rooted_signature(root, comp, adj):
-    def sig(v, parent):
-        return tuple(sorted(sig(w, v) for w in adj[v] if w in comp and w != parent))
-
-    return sig(root, None)
-
-
 class NWRecord(NamedTuple):
     """Outcome of a minimal-nodes-for-rank search."""
 
@@ -370,7 +368,7 @@ class NWRecord(NamedTuple):
 def min_nodes_for_rank(W: int, n_max: int) -> NWRecord:
     """Smallest node count of an ordered tree with rank exactly W.
 
-    Enumerates all trees with n <= n_max in size order; ``min_nodes_found``
+    Searches the ranks each size n <= n_max reaches; ``min_nodes_found``
     is None when no tree of rank W exists within the bound.  Every found
     value must be >= 2^(W-1); empirically the minima match 2^W - 1, which
     we report but do not assert.
@@ -379,20 +377,16 @@ def min_nodes_for_rank(W: int, n_max: int) -> NWRecord:
         raise InputError("W must be in 1..4 (search space explodes beyond)")
     if n_max < 1 or n_max > _ENUM_CAP:
         raise InputError(f"n_max must be in 1..{_ENUM_CAP}")
-    memo: dict = {}
-    for n in range(1, n_max + 1):
-        for t in enumerate_trees(n):
-            if _rank_of_shape(_shapes(t)[t.root], memo) == W:
-                assert n >= 2 ** (W - 1), f"rank-{W} tree with {n} nodes"
-                return NWRecord(W=W, min_nodes_found=n, search_bound=n_max)
-    return NWRecord(W=W, min_nodes_found=None, search_bound=n_max)
+    found = next((n for n, _, by_rank in _size_tables(n_max, {}) if W in by_rank), None)
+    assert found is None or found >= 2 ** (W - 1), f"rank-{W} tree with {found} nodes"
+    return NWRecord(W=W, min_nodes_found=found, search_bound=n_max)
 
 
 def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
     """Cross-check five phrasings of witness existence on every small tree.
 
     For every ordered tree with 2 <= n <= max_n and every W in 1..max_W,
-    both capped at 15, evaluates over the root's child ranks:
+    both capped at 15, evaluates once per root child-rank tuple:
 
     * ``witness``        -- some width-W witness exists (brute),
     * ``corner_X``       -- one exists with X in {1, W},
@@ -400,8 +394,10 @@ def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
     * ``scan``           -- ``corner_scan`` succeeds on the left or right,
     * ``corner_witness`` -- a left or right corner witness exists (brute).
 
-    All five must agree everywhere; any disagreement lands in the report,
-    smallest trees first.  The sweep is exhaustive and deterministic.
+    All five must agree everywhere.  The counts are of trees and (tree, W)
+    pairs; the report lists up to 50 split (child-rank tuple, W), each
+    named by its first tree in ``enumerate_trees`` order.  The sweep is
+    exhaustive and deterministic.
     """
     if max_n < 1:
         raise InputError("max_n must be >= 1")
@@ -413,37 +409,38 @@ def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
     # the one deliberate contact with the engine: the scans are the subject
     from .ranking import CornerWitness, corner_scan
 
-    memo: dict = {}
     trees = 0
-    pairs = 0
     n_disagree = 0
     disagreements: list = []
-    for n in range(2, max_n + 1):
-        for t in enumerate_trees(n, max_n=max_n):
-            ranks = [_rank_of_shape(s, memo) for s in _shapes(t)[t.root]]
-            trees += 1
-            for W in range(1, max_W + 1):
-                pairs += 1
-                votes = {
-                    "witness": rank_witness_exists_brute(ranks, W),
-                    "corner_X": rank_witness_exists_brute(ranks, W, restrict="corner_X"),
-                    "corner_v": rank_witness_exists_brute(ranks, W, restrict="corner_v"),
-                    "scan": isinstance(corner_scan(ranks, W, "left"), CornerWitness)
-                    or isinstance(corner_scan(ranks, W, "right"), CornerWitness),
-                    "corner_witness": corner_witness_exists_brute(ranks, W, "left")
-                    or corner_witness_exists_brute(ranks, W, "right"),
-                }
-                if len(set(votes.values())) > 1:
-                    n_disagree += 1
-                    if len(disagreements) < 50:
-                        entry = {"n": n, "tree": serialize_tree(t), "W": W}
-                        entry.update(votes)
-                        disagreements.append(entry)
+    # child-rank tuple -> the W at which its votes split, for the tuples met so far
+    split_at: dict = {}
+    for n, table, _ in _size_tables(max_n, {}):
+        if n == 1:
+            continue
+        for ranks, (count, word) in sorted(table.items(), key=lambda item: item[1][1]):
+            trees += count
+            if ranks not in split_at:
+                split_at[ranks] = []
+                for W in range(1, max_W + 1):
+                    votes = {
+                        "witness": rank_witness_exists_brute(ranks, W),
+                        "corner_X": rank_witness_exists_brute(ranks, W, restrict="corner_X"),
+                        "corner_v": rank_witness_exists_brute(ranks, W, restrict="corner_v"),
+                        "scan": isinstance(corner_scan(ranks, W, "left"), CornerWitness)
+                        or isinstance(corner_scan(ranks, W, "right"), CornerWitness),
+                        "corner_witness": corner_witness_exists_brute(ranks, W, "left")
+                        or corner_witness_exists_brute(ranks, W, "right"),
+                    }
+                    if len(set(votes.values())) > 1:
+                        split_at[ranks].append(W)
+                        if len(disagreements) < 50:
+                            disagreements.append({"n": n, "tree": word, "W": W, **votes})
+            n_disagree += count * len(split_at[ranks])
     return {
         "max_n": max_n,
         "max_W": max_W,
         "trees_checked": trees,
-        "pairs_checked": pairs,
+        "pairs_checked": trees * max_W,
         "disagreement_count": n_disagree,
         "disagreements": disagreements,
         "agree": n_disagree == 0,

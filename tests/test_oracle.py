@@ -264,6 +264,13 @@ def test_equivalence_suite_reports_a_broken_scan(monkeypatch):
     assert first["witness"] and not first["scan"]
 
 
+def test_equivalence_suite_at_the_cap():
+    # every tree of 2..15 nodes: Catalan(1) + ... + Catalan(14)
+    rep = equivalence_suite(max_n=15, max_W=1)
+    assert rep["agree"]
+    assert rep["trees_checked"] == rep["pairs_checked"] == 3707851
+
+
 def test_equivalence_suite_echoes_config():
     rep = equivalence_suite(max_n=3, max_W=2)
     assert (rep["max_n"], rep["max_W"]) == (3, 2)
