@@ -215,10 +215,11 @@ def rank_bruteforce(t: Tree, max_n: int = 11) -> int:
     return rk[t.root]
 
 
-def _size_tables(n_max: int, memo: dict) -> Iterator[tuple]:
+def _size_tables(n_max: int) -> Iterator[tuple]:
     """Yield (n, table, by_rank) for n = 1..n_max: ``table`` maps each root
     child-rank tuple of the n-node trees to (how many trees have it, the
     least paren word of one); ``by_rank`` does the same for their ranks."""
+    memo: dict = {}
     tables: list = []
     by_ranks: list = []
     for n in range(1, n_max + 1):
@@ -377,7 +378,7 @@ def min_nodes_for_rank(W: int, n_max: int) -> NWRecord:
         raise InputError("W must be in 1..4 (search space explodes beyond)")
     if n_max < 1 or n_max > _ENUM_CAP:
         raise InputError(f"n_max must be in 1..{_ENUM_CAP}")
-    found = next((n for n, _, by_rank in _size_tables(n_max, {}) if W in by_rank), None)
+    found = next((n for n, _, by_rank in _size_tables(n_max) if W in by_rank), None)
     assert found is None or found >= 2 ** (W - 1), f"rank-{W} tree with {found} nodes"
     return NWRecord(W=W, min_nodes_found=found, search_bound=n_max)
 
@@ -414,7 +415,7 @@ def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
     disagreements: list = []
     # child-rank tuple -> the W at which its votes split, for the tuples met so far
     split_at: dict = {}
-    for n, table, _ in _size_tables(max_n, {}):
+    for n, table, _ in _size_tables(max_n):
         if n == 1:
             continue
         for ranks, (count, word) in sorted(table.items(), key=lambda item: item[1][1]):

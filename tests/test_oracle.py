@@ -242,11 +242,13 @@ def test_equivalence_suite_small():
 def test_equivalence_suite_reports_a_broken_scan(monkeypatch):
     # with no right scan succeeding, the scan vote splits from the others
     # wherever only a right witness exists: the report must count every
-    # such (tree, W) and name the first one in enumeration order
+    # such (tree, W), and list each split (child-rank tuple, W) once, named
+    # by its first tree in enumeration order
     def left_only(ranks, W, side):
         return corner_scan(ranks, W, side) if side == "left" else None
 
     expected = []
+    named: dict = {}
     for n in range(2, 8):
         for t in enumerate_trees(n):
             ann = rank(t).rank
@@ -255,6 +257,7 @@ def test_equivalence_suite_reports_a_broken_scan(monkeypatch):
                 scan = isinstance(left_only(ranks, W, "left"), CornerWitness)
                 if scan != rank_witness_exists_brute(ranks, W):
                     expected.append((n, serialize_tree(t), W))
+                    named.setdefault((tuple(ranks), W), expected[-1])
     monkeypatch.setattr(ranking_module, "corner_scan", left_only)
     rep = equivalence_suite(max_n=7, max_W=4)
     assert not rep["agree"]
@@ -262,6 +265,7 @@ def test_equivalence_suite_reports_a_broken_scan(monkeypatch):
     first = rep["disagreements"][0]
     assert (first["n"], first["tree"], first["W"]) == expected[0] == (6, "(()()(()()))", 2)
     assert first["witness"] and not first["scan"]
+    assert [(d["n"], d["tree"], d["W"]) for d in rep["disagreements"]] == list(named.values())
 
 
 def test_equivalence_suite_at_the_cap():
