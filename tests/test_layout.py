@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -267,6 +269,34 @@ def test_frozen_wide_chains():
         for mode, d in (("ordered3", d3), ("ordered1", reduce_bends(d3, t))):
             h[mode].update(json.dumps(drawing_to_json(d), sort_keys=True).encode())
     assert {mode: x.hexdigest() for mode, x in h.items()} == WIDE_DIGESTS
+
+
+@pytest.mark.parametrize("mode", ["unordered", "ordered3", "ordered1"])
+def test_edges_share_end_points_with_positions(mode):
+    # an edge's first and last points are its nodes' position tuples, not
+    # equal copies of them
+    for t in chain(frozen_corpus(), [gen_path(500), gen_hpd_family(9)]):
+        d = FROZEN_DRAW[mode](t)
+        for (p, c), pts in d.edges.items():
+            assert pts[0] is d.pos[p] and pts[-1] is d.pos[c], (mode, t, p, c)
+
+
+def test_ordered_drawing_memory_at_1e5():
+    # frames hold only bends, so the drawing is about all layout allocates;
+    # a tuple per edge end would add about 60 bytes an edge point
+    t = gen_random_tree(10**5, seed=0)
+    ann = rank(t)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        d = draw_ordered(t, ann)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = sum(map(len, d.edges.values()))
+    assert (peak - base) / 2**20 < 80
+    assert (kept - base) / points < 190
 
 
 # --------------------------------------------------------------- writer
