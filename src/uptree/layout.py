@@ -21,9 +21,11 @@ Coordinates are integer (column, row) pairs with columns starting at 1
 and the root on the highest row.  Internally each node is assembled
 bottom-up into a frame in its own coordinates (row 0 at the top): its
 size, its root column, and for each child a shift of the child's frame
-plus the edge to it.  A subtree is never copied into its ancestors; one
-preorder pass adds up the shifts, writes every position and edge once
-and flips rows to y-up, so layout runs in time linear in the output.
+plus the bends of the edge to it.  A subtree is never copied into its
+ancestors; one preorder pass adds up the shifts, writes every position
+and edge once and flips rows to y-up, so layout runs in time linear in
+the output.  An edge's end points are its nodes' position tuples, not
+copies of them, and a node with one child takes one step.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ class Drawing(NamedTuple):
 
     ``pos`` maps node id to (x, y); ``edges`` maps (parent, child) to the
     poly-line from the parent's position to the child's, bends included.
+    In the drawings built here an edge's first and last points are the
+    very tuples ``pos`` holds for its parent and child.
     ``mode`` records which construction produced it: "unordered",
     "ordered3" or "ordered1".
     """
@@ -72,31 +76,43 @@ class LayoutStats(NamedTuple):
 
 # A frame is one node's assembly in its own coordinates, row 0 at the top:
 # a tuple (width, height, root_col, place).  The node sits alone on row 0
-# in column root_col (1 or width); place[i] = (dcol, drow, points) is the
-# shift of child i's frame into this one and the edge to child i, drawn
-# in this frame.
+# in column root_col (1 or width); place[i] = (dcol, drow, bends) is the
+# shift of child i's frame into this one and a tuple of the interior
+# points of the edge to child i, drawn in this frame.  The edge's ends,
+# the node's root point and the child's, are not stored.
+
+_ONE_CHILD = ((0, 1, ()),)  # the place of an only child
 
 
 def _finalize(t: Tree, frames: list, mode: str) -> Drawing:
     """Add up the shifts top-down, writing each position and edge once.
 
-    Preorder ids put every parent before its children.  Rows are flipped
-    to y-up on the way: the root gets the maximal y, the total height.
+    Preorder ids put every parent before its children, so each position
+    is made at its parent, from the parent's own, and each edge reuses
+    both.  Rows are flipped to y-up on the way: the root gets the
+    maximal y, the total height.
     """
-    h = frames[t.root][1]
-    col = [0] * t.n
-    row = [0] * t.n
-    pos = {}
+    at = [None] * t.n
+    at[t.root] = frames[t.root][2], frames[t.root][1]
     edges = {}
-    for v in t.preorder():
-        c0, r0 = col[v], row[v]
+    for v, kids in enumerate(t._children):
+        p = at[v]
         _, _, rc, place = frames[v]
-        pos[v] = (c0 + rc, h - r0)
-        for c, (dc, dr, pts) in zip(t.children(v), place):
-            col[c] = c0 + dc
-            row[c] = r0 + dr
-            edges[(v, c)] = [(c0 + x, h - r0 - r) for x, r in pts]
-    return Drawing(mode=mode, pos=pos, edges=edges)
+        x0, y0 = p[0] - rc, p[1]
+        for c, (dc, dr, bends) in zip(kids, place):
+            q = at[c] = (x0 + dc + frames[c][2], y0 - dr)
+            edges[v, c] = [p, *[(x0 + x, y0 - r) for x, r in bends], q] if bends else [p, q]
+    return Drawing(mode=mode, pos=dict(enumerate(at)), edges=edges)
+
+
+def _chain_frame(frames: list, kids: tuple) -> tuple:
+    """The frame of a leaf, or of a node with one child: the child's frame
+    one row down, its root joined to column 1 by a straight edge.  Every
+    mode draws these the same way."""
+    if not kids:
+        return 1, 1, 1, ()
+    w, h = frames[kids[0]][:2]
+    return w, h + 1, 1, _ONE_CHILD
 
 
 # ------------------------------------------------------------- unordered
@@ -115,6 +131,9 @@ def draw_unordered(t: Tree, ann: Optional[RpwAnnotation] = None) -> Drawing:
     frames: list = [None] * t.n
     for v in t.bottom_up():
         kids = t.children(v)
+        if len(kids) < 2:
+            frames[v] = _chain_frame(frames, kids)
+            continue
         heavy = ann.heavy_child[v]
         place: list = [None] * len(kids)
         row = 1
@@ -122,15 +141,12 @@ def draw_unordered(t: Tree, ann: Optional[RpwAnnotation] = None) -> Drawing:
         for i in reversed(range(len(kids))):
             if kids[i] != heavy:
                 w, h = frames[kids[i]][:2]
-                place[i] = (1, row, [(1, 0), (2, row)])
+                place[i] = (1, row, ())
                 width = max(width, w + 1)
                 row += h
-        if kids:
-            w, h = frames[heavy][:2]
-            place[kids.index(heavy)] = (0, row, [(1, 0), (1, row)])
-            width = max(width, w)
-            row += h
-        frames[v] = (width, row, 1, place)
+        w, h = frames[heavy][:2]
+        place[kids.index(heavy)] = (0, row, ())
+        frames[v] = (max(width, w), row + h, 1, place)
     return _finalize(t, frames, "unordered")
 
 
@@ -160,9 +176,8 @@ def _assemble(boxes, cw, one_bend):
     d = len(boxes)
     W = cw.W
     wof = {i: w for w, i in cw.sigma.items()}  # child index -> chain value
-    root = (1, 0)
     place: list = [None] * d
-    prefix: dict = {}
+    prefix: dict = {}  # chain child index -> the bends before its anchor
     cur = 0  # deepest placed row, bend rows of the staircase included
     deep = 0  # deepest second bend or anchor
     slope = 0  # last used slope; strictly increases right to left
@@ -173,33 +188,32 @@ def _assemble(boxes, cw, one_bend):
             w = wof[j]
             if one_bend:
                 m = max(slope + 1, cur + 1)
-                prefix[j] = [root, (w, m * (w - 1))]
+                prefix[j] = ((w, m * (w - 1)),)
                 slope = mbig = m
                 deep = max(deep, m * (w - 1))
             else:
-                prefix[j] = [root, (2, cur + 1)]
+                prefix[j] = ((2, cur + 1),)
                 if w > 2:
                     # second bend one row below the first, inside the ray;
                     # that row is shared with whatever comes next
-                    prefix[j].append((w, cur + 2))
+                    prefix[j] += ((w, cur + 2),)
                     deep = max(deep, cur + 2)
                 cur += 1
         else:
             r, height, rx = boxes[j - 1]
             slope = max(slope + 1, cur + 1, mbig * r + 1)
             top = slope + 1
-            place[j - 1] = (1, top, [root, (2, slope), (rx + 1, top)])
+            place[j - 1] = (1, top, ((2, slope),))
             cur = top + height - 1
 
     if 1 in wof:
-        prefix[1] = [root]
+        prefix[1] = ()
     else:
         r, height, rx = boxes[0]
         top = max(cur + 1, mbig * max(r - 1, 0) + 1)
         # a child with rx > 1 is wider than one column and never starts on
         # row 1, so the bend (1, top - 1) lies below the root
-        pts = [root, (1, top)] if rx == 1 else [root, (1, top - 1), (rx, top)]
-        place[0] = (0, top, pts)
+        place[0] = (0, top, () if rx == 1 else ((1, top - 1),))
         cur = top + height - 1
 
     base = max(cur, deep)
@@ -207,17 +221,16 @@ def _assemble(boxes, cw, one_bend):
         j = cw.sigma[w]
         _, height, rx = boxes[j - 1]
         rc = 1 if j == 1 else w  # the column of j's ray
-        pts = prefix[j]
+        bends = prefix[j]
         top = base + 1
         if rx != rc:
             if one_bend and j != 1:
                 # the final segment slants across columns 1..w; push the
                 # block far enough down that the slant clears everything
                 top = (W + 1) * (base + 2)
-            elif pts[-1] != (rc, base):
-                pts.append((rc, base))
-        pts.append((rx, top))
-        place[j - 1] = (0, top, pts)
+            elif (bends[-1] if bends else (1, 0)) != (rc, base):  # (1, 0) is the root
+                bends += ((rc, base),)
+        place[j - 1] = (0, top, bends)
         base = top + height - 1
 
     return W, base + 1, place
@@ -230,15 +243,17 @@ def _ordered(t: Tree, ann: Optional[RankAnnotation], one_bend: bool) -> Drawing:
     A right witness runs the left assembler on the mirrored, reversed
     child boxes and mirrors its output back.  The two mirror images of
     each child cancel, so the child frame is only shifted, to column
-    W - width - dcol, and the root lands in column W.
+    W - width - dcol, and the root lands in column W.  A node with one
+    child of rank r gets the chain frame: rank gives it the left witness
+    {r: 1}, whose assembly that frame is.
     """
     if ann is None:
         ann = rank(t)
     frames: list = [None] * t.n
     for v in t.bottom_up():
         kids = t.children(v)
-        if not kids:
-            frames[v] = (1, 1, 1, ())
+        if len(kids) < 2:
+            frames[v] = _chain_frame(frames, kids)
             continue
         cw = ann.corner[v]
         boxes = [frames[c][:3] for c in kids]
@@ -257,8 +272,8 @@ def _ordered(t: Tree, ann: Optional[RankAnnotation], one_bend: bool) -> Drawing:
             [(w, h, w + 1 - rc) for w, h, rc in reversed(boxes)], mirrored, one_bend
         )
         place = [
-            (W - w - dc, dr, [(W + 1 - x, r) for x, r in pts])
-            for (w, _, _), (dc, dr, pts) in zip(boxes, reversed(place))
+            (W - w - dc, dr, tuple([(W + 1 - x, r) for x, r in bends]))
+            for (w, _, _), (dc, dr, bends) in zip(boxes, reversed(place))
         ]
         frames[v] = (W, height, W, place)
     return _finalize(t, frames, "ordered1" if one_bend else "ordered3")
@@ -307,6 +322,12 @@ def _prune(pts):
     return out
 
 
+def _bend_count(pts) -> int:
+    """The true bends of a poly-line: its points once pruned, less the two
+    ends.  A line of two points or fewer is not pruned."""
+    return len(pts) - 2 if len(pts) < 3 else len(_prune(pts)) - 2
+
+
 def prune_collinear(d: Drawing) -> Drawing:
     """The same drawing without repeated points or bends on a straight run."""
     return Drawing(d.mode, dict(d.pos), {k: _prune(pts) for k, pts in d.edges.items()})
@@ -328,9 +349,7 @@ def layout_stats(d: Drawing) -> LayoutStats:
     stays meaningful for the stretched ordered1 drawings.
     """
     lo, hi, _, _, rows = _extent(d.pos, d.edges.values())
-    bends = 0
-    for pts in d.edges.values():
-        bends = max(bends, len(_prune(pts)) - 2)
+    bends = max(map(_bend_count, d.edges.values()), default=0)
     root = max(d.pos, key=lambda u: d.pos[u][1])
     rx = d.pos[root][0]
     if rx == lo:
@@ -342,7 +361,7 @@ def layout_stats(d: Drawing) -> LayoutStats:
     return LayoutStats(
         width=hi - lo + 1,
         height=rows,
-        max_bends_per_edge=bends,
+        max_bends_per_edge=max(bends, 0),
         root_corner=corner,
     )
 

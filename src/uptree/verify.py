@@ -41,7 +41,7 @@ from itertools import groupby
 from operator import itemgetter, le
 from typing import NamedTuple, Optional
 
-from .layout import Drawing, _extent, _prune
+from .layout import Drawing, _bend_count, _extent
 from .ranking import RankWitness, rank, validate_rank_witness
 from .tree import InputError, Tree, _renumbered
 
@@ -350,8 +350,8 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
                 strictly = False
                 violations.append(f"strictly_upward: edge {key} runs level at y={a[1]}")
 
-    kept = [len(pts) if len(pts) == 2 else len(_prune(pts)) for pts in lines.values()]
-    straight = all(k == 2 for k in kept)
+    bends = list(map(_bend_count, lines.values()))
+    straight = not any(bends)
     if not straight:
         violations.append("straight_line: some edge bends")
 
@@ -384,7 +384,7 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
         **flags,
         width=hi - lo + 1,
         height=rows,
-        max_bends=max(max(kept, default=2) - 2, 0),
+        max_bends=max(max(bends, default=0), 0),
         violations=violations,
         ok=all(flags[prop] for prop in require),
     )
