@@ -107,8 +107,8 @@ def _finalize(t: Tree, frames: list, mode: str) -> Drawing:
 
 def _chain_frame(frames: list, kids: tuple) -> tuple:
     """The frame of a leaf, or of a node with one child: the child's frame
-    one row down, its root joined to column 1 by a straight edge.  Every
-    mode draws these the same way."""
+    one row down and flush left, its root joined to the node's in column
+    1 by a straight edge.  Every mode draws these the same way."""
     if not kids:
         return 1, 1, 1, ()
     w, h = frames[kids[0]][:2]
