@@ -207,6 +207,21 @@ def test_validate_rank_witness_malformed():
     assert any("rank_bounds" in p for p in validate_rank_witness([1, 1], w3))
     w4 = RankWitness(W=2, X=1, v=1, big=frozenset({1, 2}), rank_bounds={1: 2, 2: 2})
     assert any(p.startswith("R3") for p in validate_rank_witness([1, 1], w4))
+    for child_ranks, w, want in [
+        ([1], RankWitness(W=0, X=1, v=1, big=frozenset({1}), rank_bounds={1: 1}),
+         "malformed: W=0 < 1"),
+        ([1], RankWitness(W=1, X=1, v=2, big=frozenset({1}), rank_bounds={1: 1}),
+         "malformed: v=2 not in [1, 1]"),
+        ([1], RankWitness(W=1, X=1, v=1, big=frozenset({1, 2}), rank_bounds={1: 1, 2: 1}),
+         "malformed: big-child index out of range"),
+        ([2, 1], RankWitness(W=2, X=1, v=2, big=frozenset({2}), rank_bounds={2: 1}),
+         "R2l: small c_1 has rank 2 > 0"),
+        ([1], RankWitness(W=2, X=1, v=1, big=frozenset({1}), rank_bounds={1: 3}),
+         "R3: rank-bound 3 of c_1 not in 1..2"),
+        ([2], RankWitness(W=2, X=1, v=1, big=frozenset({1}), rank_bounds={1: 1}),
+         "R3: c_1 has rank 2 > bound 1"),
+    ]:
+        assert want in validate_rank_witness(child_ranks, w)
 
 
 def test_validate_corner_witness_examples():
@@ -238,6 +253,9 @@ def test_validate_corner_witness_malformed():
     assert validate_corner_witness(
         [1, 2, 2], CornerWitness("left", 2, 1, {1: 3, 2: 2})
     )  # not monotone
+    assert validate_corner_witness([1], CornerWitness("left", 0, 1, {})) == ["malformed: W=0 < 1"]
+    assert validate_corner_witness([1, 1], CornerWitness("left", 2, 2, {2: 1})) == [
+        "C1: child c_1 has rank 1, needs 2"]
 
 
 def test_push_to_corner_already_extremal():

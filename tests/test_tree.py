@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from uptree.tree import (
     tree_from_json,
     tree_to_json,
 )
+
+from test_layout import frozen_corpus
 
 
 def test_parse_single_node():
@@ -84,22 +87,56 @@ def test_serialize_examples():
     assert serialize_tree(gen_quintary_family(2)) == "(()()(()())()())"
 
 
-def test_tree_rejects_non_preorder_numbering():
-    with pytest.raises(ValueError):
-        Tree([[2, 1], [], []])
-    with pytest.raises(ValueError):
-        Tree([[1], [0]])
-    with pytest.raises(ValueError):
-        Tree([[1], [1]])
-    with pytest.raises(ValueError):
-        Tree([[5], []])
-    with pytest.raises(ValueError):
-        Tree([])
+class Id(IntEnum):
+    ONE = 1
 
 
-def test_tree_disconnected_rejected():
-    with pytest.raises(ValueError):
-        Tree([[1], [], []])  # node 2 unreachable
+# rows (and labels) that number no tree rooted at 0 in preorder
+BAD_ROWS = {
+    "bool": ([[True], []], None),
+    "int-subclass": ([[Id.ONE], []], None),
+    "float": ([[1.0], []], None),
+    "str": ([["1"], []], None),
+    "out-of-range": ([[5], []], None),
+    "negative": ([[-1], []], None),
+    "two-parents": ([[1, 2], [2], []], None),
+    "own-child": ([[1], [1]], None),
+    "cycle": ([[1], [0]], None),
+    "not-preorder": ([[2, 1], [], []], None),
+    "unreachable": ([[1], [], []], None),
+    "empty": ([], None),
+    "label-int": ([[1], []], {0: 5}),
+    "label-key-out-of-range": ([[1], []], {3: "x"}),
+}
+# JSON ids are free and renumbered, so only rows out of preorder make a tree there
+ROW_CASES = [k for k, (rows, labels) in BAD_ROWS.items() if labels is None and k != "not-preorder"]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_tree_rejects_non_preorder_numbering(case):
+    rows, labels = BAD_ROWS[case]
+    with pytest.raises(ValueError) as err:
+        Tree(rows, labels)
+    # a caller's rows are no tree text or JSON: no InputError, no TypeError
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_tree_json_refuses_the_same_rows(case):
+    rows, _ = BAD_ROWS[case]
+    nodes = [{"id": v, "children": list(row)} for v, row in enumerate(rows)]
+    with pytest.raises(ParseError):
+        tree_from_json({"root": 0, "nodes": nodes})
+
+
+def test_tree_from_rows_keeps_tree_and_labels():
+    for t in frozen_corpus():
+        assert Tree(t._children, t._labels) == t
+        labels = {v: f"n{v}" for v in range(0, t.n, 3)}
+        u = Tree([list(r) for r in t._children], labels)
+        assert u == t and u._parent == t._parent and u._labels == labels
+    # None means no label, as in tree JSON
+    assert Tree([[1], []], {0: None, 1: "b"})._labels == {1: "b"}
 
 
 def test_node_accessors():
@@ -113,6 +150,9 @@ def test_node_accessors():
         t.parent(99)
     with pytest.raises(IndexError):
         t.children(99)
+    assert t.__eq__(serialize_tree(t)) is NotImplemented and t != serialize_tree(t)
+    assert hash(t) == hash(parse_tree("(()(()))"))
+    assert repr(t) == "Tree(n=4, '(()(()))')"
 
 
 def test_bottom_up_children_first():

@@ -5,6 +5,7 @@ frozen report digests."""
 import hashlib
 import json
 import random
+import re
 import time
 from unittest import mock
 
@@ -298,22 +299,31 @@ def test_wrong_endpoint_raises(example_drawing):
 PAIR = parse_tree("(())")
 
 
-@pytest.mark.parametrize("pos,pts,message", [
-    ({0: (True, 2), 1: (1, 1)}, [(True, 2), (1, 1)], "position of node 0 is not an integer pair"),
-    ({0: (1, 2.0), 1: (1, 1)}, [(1, 2.0), (1, 1)], "position of node 0 is not an integer pair"),
-    ({0: (1, 2), 1: (1, 1, 0)}, [(1, 2), (1, 1)], "position of node 1 is not an integer pair"),
-    ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1, False), (1, 1)], "non-integer point"),
-    ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1.5, 1), (1, 1)], "non-integer point"),
-    ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1,), (1, 1)], "non-integer point"),
-    ({0: (1, 2), 1: (1, 1)}, [(1, 2), (1, 1, 0), (1, 1)], "non-integer point"),
-    ({0: [1, 2.5], 1: [1, 1]}, [[1, 2.5], [1, 1]], "position of node 0 is not an integer pair"),
-    ({0: [1, 2], 1: [1, 1]}, [[1, 2], [True, 1], [1, 1]], "non-integer point"),
+@pytest.mark.parametrize("pos,edges,message", [
+    ({0: (True, 2), 1: (1, 1)}, {(0, 1): [(True, 2), (1, 1)]},
+     "position of node 0 is not an integer pair"),
+    ({0: (1, 2.0), 1: (1, 1)}, {(0, 1): [(1, 2.0), (1, 1)]},
+     "position of node 0 is not an integer pair"),
+    ({0: (1, 2), 1: (1, 1, 0)}, {(0, 1): [(1, 2), (1, 1)]},
+     "position of node 1 is not an integer pair"),
+    ({0: (1, 2), 1: (1, 1)}, {(0, 1): [(1, 2), (1, False), (1, 1)]}, "non-integer point"),
+    ({0: (1, 2), 1: (1, 1)}, {(0, 1): [(1, 2), (1.5, 1), (1, 1)]}, "non-integer point"),
+    ({0: (1, 2), 1: (1, 1)}, {(0, 1): [(1, 2), (1,), (1, 1)]}, "non-integer point"),
+    ({0: (1, 2), 1: (1, 1)}, {(0, 1): [(1, 2), (1, 1, 0), (1, 1)]}, "non-integer point"),
+    ({0: [1, 2.5], 1: [1, 1]}, {(0, 1): [[1, 2.5], [1, 1]]},
+     "position of node 0 is not an integer pair"),
+    ({0: [1, 2], 1: [1, 1]}, {(0, 1): [[1, 2], [True, 1], [1, 1]]}, "non-integer point"),
+    ({0: (1, 2), 1: (1, 1)}, {(1, 0): [(1, 1), (1, 2)]},
+     "edge set mismatch (missing [(0, 1)], extra [(1, 0)])"),
+    ({0: (1, 2), 1: (1, 1)}, {(0, 1): [(1, 2)]}, "edge (0, 1) has fewer than two points"),
 ], ids=["bool-position", "float-position", "triple-position", "bool-point", "float-point",
-        "short-point", "triple-point", "list-float-position", "list-bool-point"])
-def test_non_integer_coordinates_raise(pos, pts, message):
-    # a bool is not a coordinate, as in drawing_from_json
-    with pytest.raises(DrawingMismatch, match=message):
-        check_drawing(PAIR, Drawing("unordered", pos, {(0, 1): pts}))
+        "short-point", "triple-point", "list-float-position", "list-bool-point",
+        "edge-set", "one-point-edge"])
+def test_non_integer_coordinates_raise(pos, edges, message):
+    # a bool is not a coordinate, as in drawing_from_json; the last rows
+    # are the structural checks made before any point is read
+    with pytest.raises(DrawingMismatch, match=re.escape(message)):
+        check_drawing(PAIR, Drawing("unordered", pos, edges))
 
 
 FORK = parse_tree("(()())")
