@@ -8,17 +8,18 @@ load-bearing, not style: some generated families contain paths far deeper
 than CPython's default recursion limit.
 
 A tree is two flat tuples: the child rows (one tuple of child ids per
-node, every leaf sharing the empty tuple) and the parent array.  The
-loaders and ``reorder_children_by_drawing`` write the rows directly and
-make no list per node: ``parse_tree`` slices each node's children off one
-flat list of pending ids when the node closes.  ``tree_from_json`` takes
-JSON whose ids are already preorder ids in record order, as
-``tree_to_json`` writes it, after type checks made in bulk and one
-interval pass over the child lists.  Any other JSON it checks record by
-record and then walks, closing nodes as ``parse_tree`` does, with no map
-from old ids to new ones.  Both paths give the same tree, and every
-input that the first refuses takes the second, so the errors are the
-same too.
+node, every leaf sharing the empty tuple) and the parent array.  One
+rule decides which rows make a tree: they number one tree rooted at 0
+in preorder, and every child id is a plain ``int``, never a bool, float,
+str or int subclass.  ``_preorder_parents`` checks it in one interval
+pass, for ``Tree(children)`` and for JSON whose ids are already preorder
+ids in record order, as ``tree_to_json`` writes it.  ``parse_tree``
+builds preorder rows by construction, slicing each node's children off
+one flat list of pending ids when the node closes, with no list per
+node.  Any other JSON ``tree_from_json`` checks record by record and
+then walks, closing nodes as ``parse_tree`` does, with no map from old
+ids to new ones.  Both JSON paths give the same tree, and every input
+that the first refuses takes the second, so the errors are the same too.
 """
 
 from __future__ import annotations
@@ -64,52 +65,38 @@ class Tree:
     """Rooted ordered tree with preorder node ids.
 
     Holds ``_children``, a tuple of child-id tuples, ``_parent``, a tuple
-    of parent ids (-1 for the root), and ``_labels``.  The constructor
-    checks the numbering in one walk; the library's own builders check
-    their input themselves and go through the unchecked ``_raw``.
+    of parent ids (-1 for the root), and ``_labels``.  Builders that make
+    preorder rows by construction go through the unchecked ``_raw``.
 
     Parameters
     ----------
     children : sequence of sequences of int
-        ``children[v]`` lists v's children left to right.  The implied
-        numbering must be preorder with root 0; anything else raises
+        ``children[v]`` lists v's children left to right.  The rows must
+        number one tree rooted at 0 in preorder, every child id a plain
+        ``int`` (the module docstring's rule); anything else raises
         ``ValueError``.
     labels : dict, optional
-        Sparse map node-id -> label text.  Ignored by all algorithms.
+        Sparse map node-id -> label text, as in tree JSON: a ``str``, or
+        ``None`` for no label.  Any other key or value raises
+        ``ValueError``.  Ignored by all algorithms.
     """
 
     __slots__ = ("_children", "_parent", "_labels")
 
     def __init__(self, children: Sequence[Sequence[int]], labels=None):
-        n = len(children)
-        if n < 1:
+        if not children:
             raise ValueError("tree must have at least one node")
-        kids = tuple(tuple(c) for c in children)
-        parent = [-1] * n
-        # Preorder walk; the visit sequence must be exactly 0, 1, ..., n-1.
-        # This single pass also establishes connectivity and acyclicity.
-        seen = 0
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            if v != seen:
-                raise ValueError(
-                    f"children lists are not in preorder: expected node {seen}, walked to {v}"
-                )
-            seen += 1
-            row = kids[v]
-            for c in row:
-                if not (0 <= c < n):
-                    raise ValueError(f"child id {c} out of range at node {v}")
-                if parent[c] != -1 or c == 0:
-                    raise ValueError(f"node {c} has more than one parent")
-                parent[c] = v
-            stack.extend(reversed(row))
-        if seen != n:
-            raise ValueError(f"tree is not connected: reached {seen} of {n} nodes")
+        kids = tuple(map(tuple, children))
+        parent = _preorder_parents(kids)
+        if parent is None:
+            raise ValueError("children rows do not number one tree rooted at 0 in preorder")
+        labels = {v: lab for v, lab in dict(labels or ()).items() if lab is not None}
+        if not all(type(v) is int and 0 <= v < len(kids) and isinstance(lab, str)
+                   for v, lab in labels.items()):
+            raise ValueError("labels must map node ids to strings or None")
         self._children = kids
         self._parent = tuple(parent)
-        self._labels = dict(labels) if labels else {}
+        self._labels = labels
 
     @classmethod
     def _raw(cls, rows: tuple, parent: tuple, labels: dict) -> Tree:
@@ -307,19 +294,47 @@ def tree_from_json(obj) -> Tree:
     return _renumbered(root, kids, labels_raw)[0]
 
 
+def _preorder_parents(rows) -> Optional[list]:
+    """The parent array (-1 for the root) of the child rows ``rows`` when
+    they keep the module docstring's rule, and None otherwise.
+
+    Past a bulk type check, one pass runs from the last node up, in which
+    node v's first child must be v + 1 and each later child must start one
+    past the end of its left sibling's subtree.  The subtree of v is then
+    the interval v..end[v], and end[0] == n - 1 proves every node reached
+    exactly once, from a parent with a smaller id.
+    """
+    n = len(rows)
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        return None
+    parent = [-1] * n
+    # end[v] once v's row is read, and None for a leaf, which ends at itself:
+    # every int stored is a child id of the rows, so the pass makes none
+    end = [None] * n
+    try:
+        for v in range(n - 1, -1, -1):
+            cs = rows[v]
+            if cs:
+                nxt = v + 1
+                for c in cs:
+                    if c != nxt:
+                        return None
+                    parent[c] = v
+                    last = end[c] or c
+                    nxt = last + 1
+                end[v] = last
+        return parent if (end[0] or 0) == n - 1 else None
+    except IndexError:  # a child id n, one past the last node, or no rows
+        return None
+
+
 def _from_preorder_ids(root, raw: list) -> Optional[Tree]:
     """The tree of the node records ``raw`` when their ids are already
     preorder ids in record order, as ``tree_to_json`` writes them, and None
     for any other input: ``tree_from_json`` then decides it record by
-    record, and raises its errors.
-
-    The types are checked in bulk.  The structure takes one pass from the
-    last node up, in which node v's first child must be v + 1 and each
-    later child must start one past the end of its left sibling's subtree.
-    The subtree of v is then the interval v..end[v], and end[0] == n - 1
-    proves every node reached exactly once, from a parent with a smaller id.
+    record, and raises its errors.  The types are checked in bulk, the
+    structure by ``_preorder_parents``.
     """
-    n = len(raw)
     if type(root) is not int or root != 0 or set(map(type, raw)) != {dict}:
         return None
     try:
@@ -327,34 +342,16 @@ def _from_preorder_ids(root, raw: list) -> Optional[Tree]:
         kids = list(map(itemgetter("children"), raw))
     except KeyError:
         return None
-    if (set(map(type, ids)) != {int} or any(map(ne, ids, range(n)))
-            or set(map(type, kids)) != {list}
-            or not set(map(type, chain.from_iterable(kids))) <= {int}):
+    if (set(map(type, ids)) != {int} or any(map(ne, ids, range(len(raw))))
+            or set(map(type, kids)) != {list}):
         return None
+    del ids  # not held while the tree's rows are built
     label_types = set(map(type, map(dict.get, raw, repeat("label"))))
     if not label_types <= {str, type(None)}:
         return None
-    parent = [-1] * n
-    # end[v] starts as v, right for a leaf, and takes the end of v's last
-    # child: the ints stored are the decoded ids, so the pass makes none
-    end = ids
-    try:
-        for v in range(n - 1, -1, -1):
-            cs = kids[v]
-            if cs:
-                nxt = v + 1
-                for c in cs:
-                    if c != nxt:
-                        return None
-                    parent[c] = v
-                    last = end[c]
-                    nxt = last + 1
-                end[v] = last
-    except IndexError:  # a child id n, one past the last node
+    parent = _preorder_parents(kids)
+    if parent is None:
         return None
-    if end[0] != n - 1:
-        return None
-    del end, ids
     labels = {}
     if str in label_types:
         labels = {v: lab for v, lab in enumerate(map(dict.get, raw, repeat("label")))
