@@ -309,7 +309,7 @@ def _preorder_parents(rows) -> Optional[list]:
         return None
     parent = [-1] * n
     # end[v] once v's row is read, and None for a leaf, which ends at itself:
-    # every int stored is a child id of the rows, so the pass makes none
+    # end holds only child ids of the rows, so it makes no int per node
     end = [None] * n
     try:
         for v in range(n - 1, -1, -1):
@@ -324,7 +324,7 @@ def _preorder_parents(rows) -> Optional[list]:
                     nxt = last + 1
                 end[v] = last
         return parent if (end[0] or 0) == n - 1 else None
-    except IndexError:  # a child id n, one past the last node, or no rows
+    except IndexError:  # a child id n, one past the last node
         return None
 
 

@@ -4,7 +4,7 @@ A plain copy of the loaders as they stood before they were rewritten to
 build the tree in one preorder pass, plus the rule that came in with the
 rewrite: a JSON label is a string or null.  Each one checks its input, builds
 child lists and hands them to the validating ``Tree(children, labels)``,
-which walks the whole tree again.  Slow on purpose; kept out of the
+which checks the whole tree again.  Slow on purpose; kept out of the
 package so the tests have something independent to compare the fast
 loaders against: equal trees and labels, or the same exception class,
 message and offset.

@@ -91,7 +91,7 @@ class Id(IntEnum):
     ONE = 1
 
 
-# rows (and labels) that number no tree rooted at 0 in preorder
+# rows that number no tree rooted at 0 in preorder, and labels that tree JSON refuses
 BAD_ROWS = {
     "bool": ([[True], []], None),
     "int-subclass": ([[Id.ONE], []], None),
