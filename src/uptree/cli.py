@@ -46,6 +46,8 @@ from .layout import (
 from .ranking import rank, rank_witness_to_json
 from .tree import (
     InputError,
+    _tree_json_chunks,
+    _write_chunks,
     gen_complete_binary,
     gen_hpd_family,
     gen_path,
@@ -54,7 +56,6 @@ from .tree import (
     parse_tree,
     serialize_tree,
     tree_from_json,
-    tree_to_json,
 )
 from .verify import check_drawing, extract_rank_witness
 from .widths import param_report
@@ -178,7 +179,8 @@ def _cmd_gen(args) -> int:
     else:
         t = _FAMILIES[args.family](args.k)
     if args.json:
-        _emit(tree_to_json(t))
+        # the text _emit would print, never built whole
+        _write_chunks(sys.stdout.write, _tree_json_chunks(t))
     else:
         print(serialize_tree(t))
     return 0

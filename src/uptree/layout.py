@@ -31,11 +31,11 @@ copies of them, and a node with one child takes one step.
 from __future__ import annotations
 
 import re
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .ranking import RankAnnotation, rank
-from .tree import InputError, Tree
+from .tree import InputError, Tree, _write_chunks
 from .widths import RpwAnnotation, rooted_pathwidth
 
 __all__ = [
@@ -152,12 +152,12 @@ def draw_unordered(t: Tree, ann: Optional[RpwAnnotation] = None) -> Drawing:
 
 # --------------------------------------------------------------- ordered
 #
-# The assembler builds a left-witness frame with the root in column 1.
-# It takes the children's (width, height, root_col) boxes and returns
-# (width, height, place).
+# The assembler builds a left-witness frame with the root in column 1 and
+# width W.  It takes the children's (width, height, root_col) boxes and the
+# witness fields it reads, W, Wprime and sigma, and returns (height, place).
 
 
-def _assemble(boxes, cw, one_bend):
+def _assemble(boxes, W, Wprime, sigma, one_bend):
     """Left-witness assembly with at most 3 bends per edge on dense rows,
     or with at most 1 bend per edge when `one_bend` is set.
 
@@ -174,8 +174,7 @@ def _assemble(boxes, cw, one_bend):
     gives ``cur + 1``.
     """
     d = len(boxes)
-    W = cw.W
-    wof = {i: w for w, i in cw.sigma.items()}  # child index -> chain value
+    wof = {i: w for w, i in sigma.items()}  # child index -> chain value
     place: list = [None] * d
     prefix: dict = {}  # chain child index -> the bends before its anchor
     cur = 0  # deepest placed row, bend rows of the staircase included
@@ -217,8 +216,8 @@ def _assemble(boxes, cw, one_bend):
         cur = top + height - 1
 
     base = max(cur, deep)
-    for w in range(cw.Wprime, W + 1):
-        j = cw.sigma[w]
+    for w in range(Wprime, W + 1):
+        j = sigma[w]
         _, height, rx = boxes[j - 1]
         rc = 1 if j == 1 else w  # the column of j's ray
         bends = prefix[j]
@@ -233,7 +232,7 @@ def _assemble(boxes, cw, one_bend):
         place[j - 1] = (0, top, bends)
         base = top + height - 1
 
-    return W, base + 1, place
+    return base + 1, place
 
 
 def _ordered(t: Tree, ann: Optional[RankAnnotation], one_bend: bool) -> Drawing:
@@ -241,11 +240,11 @@ def _ordered(t: Tree, ann: Optional[RankAnnotation], one_bend: bool) -> Drawing:
     corner witnesses in `ann` (ranked here if None), children first.
 
     A right witness runs the left assembler on the mirrored, reversed
-    child boxes and mirrors its output back.  The two mirror images of
-    each child cancel, so the child frame is only shifted, to column
-    W - width - dcol, and the root lands in column W.  A node with one
-    child of rank r gets the chain frame: rank gives it the left witness
-    {r: 1}, whose assembly that frame is.
+    child boxes and the mirrored sigma, and mirrors its output back.  The
+    two mirror images of each child cancel, so the child frame is only
+    shifted, to column W - width - dcol, and the root lands in column W.
+    A node with one child of rank r gets the chain frame: rank gives it
+    the left witness {r: 1}, whose assembly that frame is.
     """
     if ann is None:
         ann = rank(t)
@@ -255,21 +254,16 @@ def _ordered(t: Tree, ann: Optional[RankAnnotation], one_bend: bool) -> Drawing:
         if len(kids) < 2:
             frames[v] = _chain_frame(frames, kids)
             continue
-        cw = ann.corner[v]
+        side, W, Wprime, sigma = ann.corner[v]
         boxes = [frames[c][:3] for c in kids]
-        if cw.side == "left":
-            W, height, place = _assemble(boxes, cw, one_bend)
+        if side == "left":
+            height, place = _assemble(boxes, W, Wprime, sigma, one_bend)
             frames[v] = (W, height, 1, place)
             continue
         d = len(kids)
-        mirrored = type(cw)(
-            side="left",
-            W=cw.W,
-            Wprime=cw.Wprime,
-            sigma={w: d + 1 - i for w, i in cw.sigma.items()},
-        )
-        W, height, place = _assemble(
-            [(w, h, w + 1 - rc) for w, h, rc in reversed(boxes)], mirrored, one_bend
+        height, place = _assemble(
+            [(w, h, w + 1 - rc) for w, h, rc in reversed(boxes)], W, Wprime,
+            {w: d + 1 - i for w, i in sigma.items()}, one_bend,
         )
         place = [
             (W - w - dc, dr, tuple([(W + 1 - x, r) for x, r in bends]))
@@ -387,13 +381,9 @@ def _write_drawing(write, d: Drawing, stats: Optional[dict] = None) -> None:
 
     Neither that dict nor the whole text is built: ``indent`` sends
     json.dumps to its pure-Python encoder, the largest cost of a big
-    drawing.  The text is made one chunk per edge and per node and
-    written 1024 chunks at a time, so that an unbuffered stdout is not
-    written once per edge.
+    drawing.  The text is made one chunk per edge and per node.
     """
-    chunks = _drawing_chunks(d, stats)
-    while batch := list(islice(chunks, 1024)):
-        write("".join(batch))
+    _write_chunks(write, _drawing_chunks(d, stats))
 
 
 def _drawing_chunks(d: Drawing, stats: Optional[dict]):

@@ -159,8 +159,8 @@ def rank(t: Tree) -> RankAnnotation:
             if isinstance(cw, ScanFailure):
                 cw = corner_scan(ranks, W, "right")
             if isinstance(cw, ScanFailure):
-                # rank W+1, witness vacuous since all children have rank <= W
-                cw = CornerWitness("left", W + 1, W + 2, {})
+                # rank W+1: with all ranks <= W the scan returns the vacuous witness
+                cw = corner_scan(ranks, W + 1, "left")
             by_ranks[ranks] = cw
         rk[v] = cw.W
         corner[v] = cw

@@ -11,15 +11,16 @@ A tree is two flat tuples: the child rows (one tuple of child ids per
 node, every leaf sharing the empty tuple) and the parent array.  One
 rule decides which rows make a tree: they number one tree rooted at 0
 in preorder, and every child id is a plain ``int``, never a bool, float,
-str or int subclass.  ``_preorder_parents`` checks it in one interval
-pass, for ``Tree(children)`` and for JSON whose ids are already preorder
-ids in record order, as ``tree_to_json`` writes it.  ``parse_tree``
-builds preorder rows by construction, slicing each node's children off
-one flat list of pending ids when the node closes, with no list per
-node.  Any other JSON ``tree_from_json`` checks record by record and
-then walks, closing nodes as ``parse_tree`` does, with no map from old
-ids to new ones.  Both JSON paths give the same tree, and every input
-that the first refuses takes the second, so the errors are the same too.
+str or int subclass.  ``Tree(...)`` checks it, in the interval pass of
+``_preorder_parents``, for every row set not built by construction: a
+library caller's, and those of JSON whose ids are already preorder ids
+in record order, as ``tree_to_json`` writes it.  ``parse_tree`` builds
+preorder rows by construction, slicing each node's children off one
+flat list of pending ids when the node closes, with no list per node.
+Any other JSON ``tree_from_json`` checks record by record and then
+walks, closing nodes as ``parse_tree`` does, with no map from old ids
+to new ones.  Both JSON paths give the same tree, and every input that
+the first refuses takes the second, so the errors are the same too.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ class Tree:
     @classmethod
     def _raw(cls, rows: tuple, parent: tuple, labels: dict) -> Tree:
         """The tree with child rows ``rows`` and parent array ``parent``,
-        taken as is.  Nothing is checked: the loaders check their input
-        first, and every other caller builds valid rows by construction."""
+        taken as is.  Nothing is checked: its two callers, ``parse_tree``
+        and ``_renumbered``, build valid rows by construction."""
         t = cls.__new__(cls)
         t._children = rows
         t._parent = parent
@@ -238,6 +239,30 @@ def tree_to_json(t: Tree) -> dict:
     return {"root": t.root, "nodes": nodes}
 
 
+def _write_chunks(write, chunks) -> None:
+    """Write the text of the iterable ``chunks`` 1024 chunks at a time, so
+    that an unbuffered stdout is not written once per chunk."""
+    while batch := list(islice(chunks, 1024)):
+        write("".join(batch))
+
+
+def _tree_json_chunks(t: Tree):
+    """The text that ``print(json.dumps(tree_to_json(t), sort_keys=True,
+    indent=2))`` prints, one chunk per node, made without that dict:
+    ``indent`` sends json.dumps to its pure-Python encoder."""
+    import json  # only the CLI writes tree JSON; `import uptree` leaves json unloaded
+
+    # keys in json's sorted order; an empty list closes on its key's line
+    labels = t._labels
+    sep = '{\n  "nodes": [\n'
+    for v, cs in enumerate(t._children):
+        kids = "[\n        " + ",\n        ".join(map(str, cs)) + "\n      ]" if cs else "[]"
+        lab = f',\n      "label": {json.dumps(labels[v])}' if v in labels else ""
+        yield f'{sep}    {{\n      "children": {kids},\n      "id": {v}{lab}\n    }}'
+        sep = ",\n"
+    yield '\n  ],\n  "root": 0\n}\n'
+
+
 def tree_from_json(obj) -> Tree:
     """Build a Tree from {"root": id, "nodes": [{"id", "children", "label"?}]}.
 
@@ -332,8 +357,9 @@ def _from_preorder_ids(root, raw: list) -> Optional[Tree]:
     """The tree of the node records ``raw`` when their ids are already
     preorder ids in record order, as ``tree_to_json`` writes them, and None
     for any other input: ``tree_from_json`` then decides it record by
-    record, and raises its errors.  The types are checked in bulk, the
-    structure by ``_preorder_parents``.
+    record, and raises its errors.  The record types are checked in bulk;
+    the rows and labels are checked by ``Tree(...)``, whose ``ValueError``
+    gives None.
     """
     if type(root) is not int or root != 0 or set(map(type, raw)) != {dict}:
         return None
@@ -346,17 +372,12 @@ def _from_preorder_ids(root, raw: list) -> Optional[Tree]:
             or set(map(type, kids)) != {list}):
         return None
     del ids  # not held while the tree's rows are built
-    label_types = set(map(type, map(dict.get, raw, repeat("label"))))
-    if not label_types <= {str, type(None)}:
+    labels = {v: lab for v, lab in enumerate(map(dict.get, raw, repeat("label")))
+              if lab is not None}
+    try:
+        return Tree(kids, labels)
+    except ValueError:
         return None
-    parent = _preorder_parents(kids)
-    if parent is None:
-        return None
-    labels = {}
-    if str in label_types:
-        labels = {v: lab for v, lab in enumerate(map(dict.get, raw, repeat("label")))
-                  if lab is not None}
-    return Tree._raw(tuple(map(tuple, kids)), tuple(parent), labels)
 
 
 def _renumbered(root, kids, labels: dict) -> tuple:

@@ -429,8 +429,16 @@ def extract_rank_witness(
     first if it is not).  Children whose drawn region meets the root's
     column are big; the one reaching highest is the vertical child; the
     injective bounds come from how deep each region descends, deepest
-    first.  Returns None when the drawing fails the precheck or the
-    resulting witness does not validate.
+    first.  A witness is returned only once ``validate_rank_witness``
+    passes it.  None is returned when the drawing fails the precheck, no
+    child meets the root's column, or the witness read does not validate.
+    The tests find a witness on every drawing of ``draw_ordered`` and
+    ``reduce_bends``, and of ``draw_unordered`` after
+    ``reorder_children_by_drawing``.  Some other valid drawings give None:
+    a small child drawn right of the root's column, in the pocket under a
+    big child's edges, is read as left of the vertical child with no
+    column to spare, as in ``(()(()))`` drawn straight with the root at
+    (1, 2), c1 at (2, 1), c2 at (3, 1) and c2's child at (1, 0).
 
     ``report`` is the VerifyReport that ``check_drawing`` returned for
     the same `t` and `d`, under any ``require``; given it, the drawing is

@@ -89,6 +89,7 @@ INPUT_ERRORS = {
 LIBRARY_FAULTS = {
     "Tree": lambda: Tree([[5]]),
     "corner_scan": lambda: corner_scan([], 1, "left"),
+    "corner_scan-W": lambda: corner_scan([1], 0, "left"),
     "reduce_bends": lambda: reduce_bends(reduce_bends(draw_ordered(PAIR), PAIR), PAIR),
 }
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from uptree.tree import (
     ParseError,
     Tree,
+    _tree_json_chunks,
+    _write_chunks,
     gen_complete_binary,
     gen_hpd_family,
     gen_path,
@@ -179,6 +181,47 @@ def test_json_round_trip_keeps_labels():
     assert [rec.get("label") for rec in obj["nodes"]] == ["root", "a", None, "b"]
     t2 = tree_from_json(obj)
     assert [t2.label(v) for v in range(t2.n)] == ["root", "a", None, "b"]
+
+
+def written_tree(t):
+    chunks = []
+    _write_chunks(chunks.append, _tree_json_chunks(t))
+    return "".join(chunks)
+
+
+def dumped_tree(t):
+    """What `uptree gen --json` printed before it had a writer of its own."""
+    return json.dumps(tree_to_json(t), sort_keys=True, indent=2) + "\n"
+
+
+def test_tree_writer_matches_json_dumps_on_frozen_corpus():
+    # labels with quotes, escapes, non-ASCII text and the empty string
+    texts = ['a"b', "\\", "é", "", "x\ny", "\u2028"]
+    for t in frozen_corpus():
+        labelled = Tree(t._children, {v: texts[v % len(texts)] for v in range(0, t.n, 2)})
+        assert written_tree(t) == dumped_tree(t)
+        assert written_tree(labelled) == dumped_tree(labelled)
+    t = parse_tree('root(a() é(()))')
+    assert written_tree(t) == dumped_tree(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32),
+       st.dictionaries(st.integers(0, 39), st.text(max_size=6)))
+def test_tree_writer_matches_json_dumps(n, seed, labels):
+    t = gen_random_tree(n, seed)
+    t = Tree(t._children, {v: s for v, s in labels.items() if v < n})
+    assert written_tree(t) == dumped_tree(t)
+
+
+def test_tree_writer_streams():
+    # a big tree goes out in several writes, none of them the whole text
+    t = gen_path(5000)
+    chunks = []
+    _write_chunks(chunks.append, _tree_json_chunks(t))
+    assert len(chunks) > 2
+    assert "".join(chunks) == dumped_tree(t)
+    assert max(map(len, chunks)) < len(dumped_tree(t)) / 2
 
 
 def test_json_accepts_arbitrary_ids_and_renumbers():

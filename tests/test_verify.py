@@ -22,7 +22,7 @@ from uptree.layout import (
     layout_stats,
     reduce_bends,
 )
-from uptree.ranking import rank, rank_witness_to_json, validate_rank_witness
+from uptree.ranking import RankWitness, rank, rank_witness_to_json, validate_rank_witness
 from uptree.tree import (
     gen_complete_binary,
     gen_path,
@@ -572,6 +572,23 @@ def test_extraction_none_when_no_subtree_meets_root_column():
     d = Drawing(mode="unordered", pos={0: (1, 2), 1: (2, 1)},
                 edges={(0, 1): [(1, 2), (2, 1)]})
     assert check_drawing(t, d, ("planar", "upward", "order_preserving")).ok
+    assert extract_rank_witness(t, d) is None
+
+
+def test_extraction_none_when_a_small_child_sits_in_a_pocket():
+    # a valid drawing of width 3: c1 sits right of the root's column, in the
+    # pocket under c2's edge down to its child, so the witness read off it
+    # (X = 1, v = c2, big = {c2}) fails R2l and the reading returns None
+    t = parse_tree("(()(()))")
+    pos = {0: (1, 2), 1: (2, 1), 2: (3, 1), 3: (1, 0)}
+    d = Drawing(mode="ordered3", pos=pos,
+                edges={(p, c): [pos[p], pos[c]] for p, c in [(0, 1), (0, 2), (2, 3)]})
+    report = check_drawing(t, d, ("planar", "strictly_upward", "order_preserving"))
+    assert report.ok and report.width == 3
+    read = RankWitness(W=3, X=1, v=2, big=frozenset({2}), rank_bounds={2: 3})
+    assert [rank(t).rank[c] for c in t.children(0)] == [1, 1]
+    assert validate_rank_witness([1, 1], read) == ["R2l: small c_1 has rank 1 > 0"]
+    assert extract_rank_witness(t, d, report) is None
     assert extract_rank_witness(t, d) is None
 
 
