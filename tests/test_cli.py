@@ -206,6 +206,18 @@ def test_verify_failed_property_exit_1(capsys):
     assert rep["ok"] is False and rep["planar"] is True
 
 
+def test_verify_zero_length_edge_is_level_not_bent(capsys):
+    # the child sits on its parent's point: the edge has no segment at all
+    drawing = json.dumps({"mode": "unordered", "positions": {"0": [1, 1], "1": [1, 1]},
+                          "edges": [{"from": 0, "to": 1, "points": [[1, 1], [1, 1]]}]})
+    code, out, _ = run(capsys, "verify", "(())", drawing, "--require", "strictly_upward")
+    assert code == 1
+    rep = json.loads(out)
+    assert (rep["strictly_upward"], rep["straight_line"], rep["max_bends"]) == (False, True, 0)
+    assert "strictly_upward: edge (0, 1) runs level at y=1" in rep["violations"]
+    assert not any("bends" in v for v in rep["violations"])
+
+
 def test_verify_witness_flag(capsys):
     drawing = json.dumps(run_json(capsys, "draw", EXAMPLE))
     code, out, _ = run(capsys, "verify", EXAMPLE, drawing, "--witness")
