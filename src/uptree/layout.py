@@ -318,8 +318,8 @@ def _prune(pts):
 
 def _bend_count(pts) -> int:
     """The true bends of a poly-line: its points once pruned, less the two
-    ends.  A line of two points or fewer is not pruned."""
-    return len(pts) - 2 if len(pts) < 3 else len(_prune(pts)) - 2
+    ends.  A line pruned to one point, a zero-length edge, has none."""
+    return 0 if len(pts) < 3 else max(len(_prune(pts)), 2) - 2
 
 
 def prune_collinear(d: Drawing) -> Drawing:
@@ -355,7 +355,7 @@ def layout_stats(d: Drawing) -> LayoutStats:
     return LayoutStats(
         width=hi - lo + 1,
         height=rows,
-        max_bends_per_edge=max(bends, 0),
+        max_bends_per_edge=bends,
         root_corner=corner,
     )
 

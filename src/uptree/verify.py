@@ -341,7 +341,8 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
 
     upward = strictly = True
     for key, pts in lines.items():
-        for a, b in zip(pts, pts[1:]):
+        # a line of one point, a zero-length edge, is its own segment: level
+        for a, b in zip(pts, pts[1:] or pts):
             if b[1] > a[1]:
                 upward = strictly = False
                 violations.append(f"upward: edge {key} climbs from {a} to {b}")
@@ -384,7 +385,7 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
         **flags,
         width=hi - lo + 1,
         height=rows,
-        max_bends=max(max(bends, default=0), 0),
+        max_bends=max(bends, default=0),
         violations=violations,
         ok=all(flags[prop] for prop in require),
     )

@@ -197,6 +197,13 @@ def test_layout_stats_interior_root():
     assert layout_stats(d).root_corner == "interior"
 
 
+@pytest.mark.parametrize("pts", [[(1, 1), (1, 1)], [(1, 1), (1, 1), (1, 1)]],
+                         ids=["two-points", "three-points"])
+def test_layout_stats_zero_length_edge_has_no_bend(pts):
+    d = Drawing(mode="unordered", pos={0: (1, 1), 1: (1, 1)}, edges={(0, 1): pts})
+    assert layout_stats(d).max_bends_per_edge == 0
+
+
 def test_explicit_annotations_accepted():
     t = parse_tree(EXAMPLE)
     assert draw_unordered(t, rooted_pathwidth(t)).pos == draw_unordered(t).pos

@@ -330,24 +330,29 @@ FORK = parse_tree("(()())")
 
 
 # reports of drawings in other point forms: _structural reads lists as
-# tuples and drops repeated points, so a one-point edge [P, P] does not run
-# level
+# tuples and drops repeated points, so a one-point edge [P, P] runs level
+# and has no bend
 @pytest.mark.parametrize("t,pos,edges,flags,violations", [
-    (PAIR, {0: [1, 2], 1: [1, 1]}, {(0, 1): [[1, 2], [1, 1]]}, (True, True, True, 1, 2, 0), []),
+    (PAIR, {0: [1, 2], 1: [1, 1]}, {(0, 1): [[1, 2], [1, 1]]},
+     (True, True, True, True, 1, 2, 0), []),
     (FORK, {0: [2, 5], 1: [1, 1], 2: [3, 3]},
-     {(0, 1): [[2, 5], [4, 4], [1, 1]], (0, 2): [[2, 5], [3, 3]]}, (False, False, False, 4, 4, 1),
+     {(0, 1): [[2, 5], [4, 4], [1, 1]], (0, 2): [[2, 5], [3, 3]]},
+     (False, True, False, False, 4, 4, 1),
      ["straight_line: some edge bends",
       "order_preserving: children of node 0 appear out of order",
       "planar: node 2 lies inside edge (0, 1) segment 1"]),
-    (PAIR, {0: (1, 2), 1: (1, 1)}, {(0, 1): [(1, 2), (1, 2), (1, 1)]}, (True, True, True, 1, 2, 0), []),
-    (PAIR, {0: (1, 1), 1: (1, 1)}, {(0, 1): [(1, 1), (1, 1)]}, (False, True, False, 1, 1, 0),
-     ["straight_line: some edge bends", "planar: nodes 0 and 1 share position (1, 1)"]),
+    (PAIR, {0: (1, 2), 1: (1, 1)}, {(0, 1): [(1, 2), (1, 2), (1, 1)]},
+     (True, True, True, True, 1, 2, 0), []),
+    (PAIR, {0: (1, 1), 1: (1, 1)}, {(0, 1): [(1, 1), (1, 1)]},
+     (False, False, True, True, 1, 1, 0),
+     ["strictly_upward: edge (0, 1) runs level at y=1",
+      "planar: nodes 0 and 1 share position (1, 1)"]),
 ], ids=["list-points", "list-points-through-node", "repeated-first-point", "shared-point-edge"])
 def test_point_forms_give_the_same_report(t, pos, edges, flags, violations):
     rep = check_drawing(t, Drawing("unordered", pos, edges), ("planar", "upward", "order_preserving"))
-    assert (rep.planar, rep.order_preserving, rep.straight_line,
+    assert (rep.planar, rep.strictly_upward, rep.order_preserving, rep.straight_line,
             rep.width, rep.height, rep.max_bends) == flags
-    assert rep.upward and rep.strictly_upward
+    assert rep.upward
     assert rep.violations == violations
 
 
@@ -661,7 +666,7 @@ VIOLATION_KINDS = [
 # and every witness (extract_rank_witness on the ordered3 drawings of the
 # frozen layout corpus).  A verifier refactor must leave them byte-identical.
 FROZEN_REPORT_DIGESTS = {
-    "reports": "a3b2b243084acaa5897d0098631113be93d530bc43588b4868f49e78732411f1",
+    "reports": "f1eb6077695cef0644745f2c50cca5033e6587ef53fbec92f55e4a22853819cf",
     "witnesses": "c9590d31757e28d57051df2984d6a4f4ec248fe45b67f4c857c2db001b018685",
 }
 
@@ -790,7 +795,7 @@ def grid_reports():
 
 # SHA-256 over the JSON of every report of grid_reports; it pins the names
 # the walk gives on grids and off them.  A walk refactor leaves it as it is.
-FROZEN_GRID_REPORT_DIGEST = "1acacb19f2c477145fbbcd8a0a3719942f132a570b9c4a7e0debe6c311120abe"
+FROZEN_GRID_REPORT_DIGEST = "602dc6f45dfc5808369c65635af0203056273aaa4f045f7f5080f508ae471206"
 
 
 def test_frozen_grid_reports():
