@@ -21,86 +21,17 @@ a drawing that does not describe its tree, a size or range argument out
 of bounds -- raises :class:`InputError`, a ``ValueError``.
 """
 
-from .layout import (
-    Drawing,
-    LayoutStats,
-    draw_ordered,
-    draw_unordered,
-    drawing_from_json,
-    drawing_to_json,
-    layout_stats,
-    prune_collinear,
-    reduce_bends,
-)
-from .ranking import (
-    CornerWitness,
-    RankAnnotation,
-    RankWitness,
-    rank,
-    validate_corner_witness,
-    validate_rank_witness,
-)
-from .tree import (
-    InputError,
-    ParseError,
-    Tree,
-    gen_complete_binary,
-    gen_hpd_family,
-    gen_path,
-    gen_quintary_family,
-    gen_random_tree,
-    parse_tree,
-    serialize_tree,
-    tree_from_json,
-    tree_to_json,
-)
-from .verify import (
-    DrawingMismatch,
-    VerifyReport,
-    check_drawing,
-    extract_rank_witness,
-    reorder_children_by_drawing,
-)
-from .widths import ParamReport, heavy_path_depth, param_report, rooted_pathwidth
+from . import layout, ranking, tree, verify, widths
+from .layout import *
+from .ranking import *
+from .tree import *
+from .verify import *
+from .widths import *
 
 __version__ = "0.1.0"
 
+# each submodule's __all__ is the one declaration of its public names
 __all__ = [
-    "Tree",
-    "InputError",
-    "ParseError",
-    "parse_tree",
-    "serialize_tree",
-    "tree_to_json",
-    "tree_from_json",
-    "gen_path",
-    "gen_complete_binary",
-    "gen_quintary_family",
-    "gen_hpd_family",
-    "gen_random_tree",
-    "rooted_pathwidth",
-    "heavy_path_depth",
-    "param_report",
-    "ParamReport",
-    "rank",
-    "RankAnnotation",
-    "RankWitness",
-    "CornerWitness",
-    "validate_rank_witness",
-    "validate_corner_witness",
-    "Drawing",
-    "LayoutStats",
-    "draw_unordered",
-    "draw_ordered",
-    "reduce_bends",
-    "prune_collinear",
-    "layout_stats",
-    "drawing_to_json",
-    "drawing_from_json",
-    "check_drawing",
-    "VerifyReport",
-    "DrawingMismatch",
-    "reorder_children_by_drawing",
-    "extract_rank_witness",
+    *tree.__all__, *widths.__all__, *ranking.__all__, *layout.__all__, *verify.__all__,
     "__version__",
 ]

@@ -36,6 +36,7 @@ import sys
 from pathlib import Path
 
 from .layout import (
+    _MODES,
     _ordered,
     _write_drawing,
     draw_unordered,
@@ -57,7 +58,7 @@ from .tree import (
     serialize_tree,
     tree_from_json,
 )
-from .verify import check_drawing, extract_rank_witness
+from .verify import PROPERTIES, check_drawing, extract_rank_witness
 from .widths import param_report
 
 __all__ = ["main"]
@@ -125,7 +126,7 @@ def _emit(obj: dict) -> None:
 
 def _cmd_widths(args) -> int:
     t = _load_tree(args.tree)
-    out = param_report(t).to_json()
+    out = param_report(t)._asdict()
     if args.pw:
         # only `widths --pw` and `oracle` load the exhaustive oracles
         from .oracle import pathwidth_oracle
@@ -197,7 +198,7 @@ def _cmd_oracle(args) -> int:
                "agree": brute == engine})
         return 0 if brute == engine else 1
     if args.what == "nw":
-        _emit(min_nodes_for_rank(args.W, n_max=args.n_max).to_json())
+        _emit(min_nodes_for_rank(args.W, n_max=args.n_max)._asdict())
         return 0
     # equivalence
     report = equivalence_suite(max_n=args.max_n, max_W=args.max_w)
@@ -235,8 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("draw", help="compute a drawing, print drawing JSON")
     p.add_argument("tree")
-    p.add_argument("--mode", choices=["unordered", "ordered3", "ordered1"],
-                   default="ordered3",
+    p.add_argument("--mode", choices=_MODES, default="ordered3",
                    help="unordered: width rpw, straight lines; ordered3: width "
                         "rank, <=3 bends; ordered1: width rank, <=1 bend")
     p.add_argument("--prune-collinear", action="store_true",
@@ -250,14 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("drawing")
     p.add_argument("--require", default="planar,upward",
                    help="comma-separated properties that must hold for exit 0 "
-                        "(planar, upward, strictly_upward, order_preserving, "
-                        "straight_line)")
+                        f"({', '.join(PROPERTIES)})")
     p.add_argument("--witness", action="store_true",
                    help="also extract a rank witness from the drawing")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit a tree from a built-in family")
-    p.add_argument("family", choices=["path", "binary", "quintary", "hpd", "random"])
+    p.add_argument("family", choices=[*_FAMILIES, "random"])
     p.add_argument("k", type=int,
                    help="path: node count; binary: height; quintary/hpd: family "
                         "index; random: node count")

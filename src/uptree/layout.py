@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 
+# one per construction; drawing_from_json and `uptree draw --mode` take these
+_MODES = ("unordered", "ordered3", "ordered1")
+
+
 class Drawing(NamedTuple):
     """Node positions plus one poly-line per edge.
 
@@ -456,6 +460,6 @@ def drawing_from_json(obj) -> Drawing:
             raise ValueError("a drawing needs at least one node")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed drawing JSON: {exc}") from exc
-    if mode not in ("unordered", "ordered3", "ordered1"):
+    if mode not in _MODES:
         raise InputError(f"unknown drawing mode {mode!r}")
     return Drawing(mode=mode, pos=pos, edges=edges)

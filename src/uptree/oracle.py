@@ -358,13 +358,6 @@ class NWRecord(NamedTuple):
     min_nodes_found: Optional[int]
     search_bound: int
 
-    def to_json(self) -> dict:
-        return {
-            "W": self.W,
-            "min_nodes_found": self.min_nodes_found,
-            "search_bound": self.search_bound,
-        }
-
 
 def min_nodes_for_rank(W: int, n_max: int) -> NWRecord:
     """Smallest node count of an ordered tree with rank exactly W.

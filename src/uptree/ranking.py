@@ -55,9 +55,6 @@ class CornerWitness(NamedTuple):
     Wprime: int
     sigma: dict
 
-    def is_vacuous(self) -> bool:
-        return self.Wprime == self.W + 1
-
 
 class ScanFailure(NamedTuple):
     """Where and why a corner-witness scan gave up."""

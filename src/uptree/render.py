@@ -16,8 +16,10 @@ __all__ = ["render_svg", "render_ascii"]
 _CELL_CAP = 10_000_000
 
 
-def render_svg(d: Drawing, unit: int = 28, radius: int = 5) -> str:
-    """Standalone SVG document; y flipped so the root ends up on top."""
+def render_svg(d: Drawing) -> str:
+    """Standalone SVG document, 28 units to a grid step; y flipped so the
+    root ends up on top."""
+    unit = 28
     x0, x1, y0, y1, _ = _extent(d.pos, d.edges.values())
     ox = unit - x0 * unit
     oy = (y1 + 1) * unit
@@ -35,7 +37,7 @@ def render_svg(d: Drawing, unit: int = 28, radius: int = 5) -> str:
         )
     for u in sorted(d.pos):
         x, y = d.pos[u]
-        out.append(f'<circle cx="{x * unit + ox}" cy="{oy - y * unit}" r="{radius}" fill="#1a66a8"/>')
+        out.append(f'<circle cx="{x * unit + ox}" cy="{oy - y * unit}" r="5" fill="#1a66a8"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -44,9 +44,6 @@ class ParamReport(NamedTuple):
     rpw: int
     hpd: int
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "rpw": self.rpw, "hpd": self.hpd}
-
 
 def rooted_pathwidth(t: Tree) -> RpwAnnotation:
     """Compute rpw for every subtree, bottom-up, in linear time.

@@ -211,7 +211,7 @@ def test_min_nodes_for_rank_small():
     rec = min_nodes_for_rank(3, 12)
     assert rec.min_nodes_found == 7
     assert rec.min_nodes_found >= 2**2
-    assert rec.to_json() == {"W": 3, "min_nodes_found": 7, "search_bound": 12}
+    assert rec._asdict() == {"W": 3, "min_nodes_found": 7, "search_bound": 12}
 
 
 def test_min_nodes_not_found_is_reported():

@@ -67,7 +67,7 @@ def test_test_left_examples():
     assert isinstance(corner_scan([1, 1, 2], 2, "left"), ScanFailure)
     ok = corner_scan([1], 2, "left")
     assert ok == CornerWitness("left", 2, 3, {})
-    assert ok.is_vacuous()
+    assert ok.Wprime == ok.W + 1  # the vacuous witness
     ok2 = corner_scan([2, 1, 1], 2, "left")
     assert ok2 == CornerWitness("left", 2, 2, {2: 1})
 

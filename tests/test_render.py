@@ -33,12 +33,12 @@ def test_svg_deterministic():
     assert render_svg(d) == render_svg(d2)
 
 
-def test_svg_unit_scales_viewport():
-    d = draw_unordered(parse_tree("(())"))
-    small = render_svg(d, unit=10)
-    big = render_svg(d, unit=40)
-    assert small != big
-    assert 'width="' in small
+def test_svg_draws_at_fixed_scale():
+    # 28 units to a grid step, one step of margin around the drawing
+    svg = render_svg(draw_unordered(parse_tree("(())")))
+    assert svg.splitlines()[0].endswith('viewBox="0 0 56 84" width="56" height="84">')
+    assert '<polyline points="28,28 28,56"' in svg
+    assert svg.count('r="5"') == 2
 
 
 def test_ascii_path():

@@ -115,10 +115,10 @@ def test_pathwidth_spider():
 def test_param_report():
     rep = param_report(gen_complete_binary(3))
     assert rep == ParamReport(n=7, rpw=3, hpd=3)
-    assert rep.to_json() == {"n": 7, "rpw": 3, "hpd": 3}
+    assert rep._asdict() == {"n": 7, "rpw": 3, "hpd": 3}
     rep2 = param_report(gen_hpd_family(6))
     assert rep2 == ParamReport(n=gen_hpd_family(6).n, rpw=2, hpd=6)
-    assert "pw" not in rep2.to_json()
+    assert "pw" not in rep2._asdict()
 
 
 @settings(max_examples=150, deadline=None)
