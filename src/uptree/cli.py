@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``widths``  -- parameter report (n, rpw, rank, hpd, optionally pw)
+* ``widths``  -- parameter report (n, rpw, rank, hpd), all in linear time
 * ``draw``    -- compute a drawing, print it as JSON
 * ``verify``  -- check a drawing JSON against a tree
 * ``gen``     -- emit trees from the built-in families
@@ -21,11 +21,12 @@ an internal error, reported as "uptree: internal error: ..." after its
 traceback; 141 the reader closed stdout early (``uptree ... | head``),
 the code a shell gives a filter killed by a closed pipe.
 
-``widths --pw`` and ``oracle`` run the exhaustive oracles at their
-library defaults and exit 2 past their size caps; the CLI has no cap
-flag or environment variable of its own.  A bigger exhaustive run calls
-the library with ``max_n=``.  ``draw --prune-collinear`` applies
-``layout.prune_collinear`` to the drawing of any mode.
+Only ``oracle`` loads :mod:`uptree.oracle`.  It passes on only the
+options given, so the library's defaults and caps hold, and past a cap
+it exits 2 with the library's message.  Unrooted pathwidth is
+exhaustive, so it is a library call only: ``oracle.pathwidth_oracle``.
+``draw --prune-collinear`` applies ``layout.prune_collinear`` to the
+drawing of any mode.
 """
 
 import argparse
@@ -127,11 +128,6 @@ def _emit(obj: dict) -> None:
 def _cmd_widths(args) -> int:
     t = _load_tree(args.tree)
     out = param_report(t)._asdict()
-    if args.pw:
-        # only `widths --pw` and `oracle` load the exhaustive oracles
-        from .oracle import pathwidth_oracle
-
-        out["pw"] = pathwidth_oracle(t)
     out["rank"] = rank(t).root_rank()
     _emit(out)
     return 0
@@ -190,6 +186,8 @@ def _cmd_gen(args) -> int:
 def _cmd_oracle(args) -> int:
     from .oracle import equivalence_suite, min_nodes_for_rank, rank_bruteforce
 
+    # options left out are absent (argparse.SUPPRESS): the library's defaults stand
+    given = {k: v for k, v in vars(args).items() if k in ("n_max", "max_n", "max_W")}
     if args.what == "rank":
         t = _load_tree(args.tree)
         brute = rank_bruteforce(t)
@@ -198,10 +196,10 @@ def _cmd_oracle(args) -> int:
                "agree": brute == engine})
         return 0 if brute == engine else 1
     if args.what == "nw":
-        _emit(min_nodes_for_rank(args.W, n_max=args.n_max)._asdict())
+        _emit(min_nodes_for_rank(args.W, **given)._asdict())
         return 0
     # equivalence
-    report = equivalence_suite(max_n=args.max_n, max_W=args.max_w)
+    report = equivalence_suite(**given)
     _emit(report)
     return 0 if report["agree"] else 1
 
@@ -228,10 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("widths", help="print n, rpw, rank, hpd (and optionally pw)")
+    p = sub.add_parser("widths", help="print n, rpw, rank, hpd")
     p.add_argument("tree", help="paren text, tree JSON, file path, or - for stdin")
-    p.add_argument("--pw", action="store_true",
-                   help="also compute unrooted pathwidth (slow, small n only)")
     p.set_defaults(fn=_cmd_widths)
 
     p = sub.add_parser("draw", help="compute a drawing, print drawing JSON")
@@ -274,17 +270,17 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_oracle)
 
     q = osub.add_parser("nw", help="minimal node count reaching a given rank")
-    q.add_argument("W", type=int, help="target rank (1..4)")
-    q.add_argument("--n-max", type=int, default=12,
-                   help="search trees up to this many nodes (default 12)")
+    q.add_argument("W", type=int, help="target rank")
+    q.add_argument("--n-max", type=int, default=argparse.SUPPRESS,
+                   help="search trees up to this many nodes")
     q.set_defaults(fn=_cmd_oracle)
 
     q = osub.add_parser("equivalence",
                         help="five witness-existence phrasings on all small trees")
-    q.add_argument("--max-n", type=int, default=8,
-                   help="largest tree size to check (default 8)")
-    q.add_argument("--max-w", type=int, default=4,
-                   help="largest width to test (default 4)")
+    q.add_argument("--max-n", type=int, default=argparse.SUPPRESS,
+                   help="largest tree size to check")
+    q.add_argument("--max-w", type=int, dest="max_W", default=argparse.SUPPRESS,
+                   help="largest width to test")
     q.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("render", help="drawing JSON -> ascii or svg")

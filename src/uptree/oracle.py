@@ -97,7 +97,7 @@ def rank_witness_exists_brute(
 ) -> bool:
     """Does a width-W witness exist over these child ranks?
 
-    Checks exactly the conditions of ``rank.validate_rank_witness``, by
+    Checks exactly the conditions of ``ranking.validate_rank_witness``, by
     trying every big/small classification (bitmask), every big anchor
     index v, and every column X.  ``restrict`` narrows the search:
     ``"corner_X"`` keeps only X in {1, W}, ``"corner_v"`` only v in
@@ -149,7 +149,7 @@ def corner_witness_exists_brute(child_ranks: Sequence[int], W: int, side: str) -
 
     Tries every start value W' and every strictly increasing index tuple,
     checking the same chain/gap conditions as
-    ``rank.validate_corner_witness``.  Left chains carry ascending values
+    ``ranking.validate_corner_witness``.  Left chains carry ascending values
     W'..W, right chains the same values descending.
     """
     d = len(child_ranks)
@@ -359,7 +359,7 @@ class NWRecord(NamedTuple):
     search_bound: int
 
 
-def min_nodes_for_rank(W: int, n_max: int) -> NWRecord:
+def min_nodes_for_rank(W: int, n_max: int = 12) -> NWRecord:
     """Smallest node count of an ordered tree with rank exactly W.
 
     Searches the ranks each size n <= n_max reaches; ``min_nodes_found``
@@ -376,7 +376,7 @@ def min_nodes_for_rank(W: int, n_max: int) -> NWRecord:
     return NWRecord(W=W, min_nodes_found=found, search_bound=n_max)
 
 
-def equivalence_suite(*, max_n: int = 11, max_W: int = 6) -> dict:
+def equivalence_suite(*, max_n: int = 8, max_W: int = 4) -> dict:
     """Cross-check five phrasings of witness existence on every small tree.
 
     For every ordered tree with 2 <= n <= max_n and every W in 1..max_W,

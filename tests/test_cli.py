@@ -14,11 +14,11 @@ import uptree.verify as verify
 from uptree.cli import main
 from uptree.layout import (Drawing, draw_ordered, drawing_from_json, drawing_to_json,
                            reduce_bends)
+from uptree.oracle import equivalence_suite, min_nodes_for_rank
 from uptree.ranking import rank_witness_to_json
 from uptree.tree import gen_path, parse_tree, serialize_tree
 
 EXAMPLE = "(()()(()()))"
-STAR16 = "(" + "()" * 15 + ")"
 STAR21 = "(" + "()" * 20 + ")"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory that holds the imported ``uptree`` package. Child processes
@@ -45,18 +45,6 @@ def run_json(capsys, *argv):
 def test_widths_golden(capsys):
     got = run_json(capsys, "widths", EXAMPLE)
     assert got == {"n": 6, "rpw": 2, "rank": 2, "hpd": 2}
-
-
-def test_widths_with_pw(capsys):
-    got = run_json(capsys, "widths", "((())()())", "--pw")
-    assert got["pw"] == 1
-    assert got["rpw"] == 2
-
-
-def test_widths_pw_cap(capsys):
-    code, out, err = run(capsys, "widths", STAR16, "--pw")
-    assert (code, out) == (2, "")
-    assert "capped at n <= 14" in err
 
 
 def test_widths_parse_error_exits_2(capsys):
@@ -387,6 +375,12 @@ def test_oracle_equivalence(capsys):
     assert got["trees_checked"] == 8  # ordered trees with 2..4 nodes
 
 
+def test_oracle_runs_at_the_library_defaults(capsys):
+    # the CLI declares no default of its own: a flag left out is not passed
+    assert run_json(capsys, "oracle", "equivalence") == equivalence_suite()
+    assert run_json(capsys, "oracle", "nw", "3") == min_nodes_for_rank(3)._asdict()
+
+
 # ---------------------------------------------------------------- render
 
 
@@ -434,9 +428,6 @@ def test_render_rejects_tree_text(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["widths", STAR16, "--pw"], "pathwidth_oracle capped at n <= 14, got 16"),
-    (["widths", "(((()())(()()))((()())(()())))", "--pw"],
-     "pathwidth_oracle capped at n <= 14, got 15"),
     (["gen", "random", "5", "--max-degree", "0"], "max_degree must be >= 1"),
     (["gen", "binary", "64"], "h must be <= 20"),
     (["gen", "path", str(2**20 + 1)], "k must be <= 2**20"),
@@ -446,7 +437,7 @@ def test_render_rejects_tree_text(capsys):
     (["oracle", "equivalence", "--max-n", "99"], "max_n=99 exceeds enumeration cap 15"),
     (["oracle", "equivalence", "--max-n", "3", "--max-w", "0"], "max_W must be in 1..15"),
     (["oracle", "equivalence", "--max-n", "3", "--max-w", "16"], "max_W must be in 1..15"),
-], ids=["pw-star16", "pw-n15", "max-degree-0", "binary-64", "path-2**20+1", "quintary-12",
+], ids=["max-degree-0", "binary-64", "path-2**20+1", "quintary-12",
         "random-10**9", "nw-n-max-99", "equivalence-max-n-99", "equivalence-max-w-0",
         "equivalence-max-w-16"])
 def test_library_caps_exit_2(capsys, argv, message):
@@ -457,7 +448,8 @@ def test_library_caps_exit_2(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ["widths", "(" + "()" * 10 + ")", "--pw", "--pw-cap", "5"],
     ["oracle", "rank", "(()())", "--max-n", "99"],
-], ids=["pw-cap", "oracle-rank-max-n"])
+    ["widths", "(()())", "--pw"],
+], ids=["pw-cap", "oracle-rank-max-n", "pw"])
 def test_cap_flags_are_unrecognized(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -567,9 +559,10 @@ def test_usage_error_exits_2():
 
 
 def test_draw_leaves_the_oracles_unloaded():
-    # only `widths --pw` and `oracle` need uptree.oracle, only `render`
-    # needs uptree.render, and only an off-grid crossing needs fractions;
-    # every other command would pay for loading them on each start
+    # only `oracle` needs uptree.oracle (`widths` runs linear passes
+    # alone), only `render` needs uptree.render, and only an off-grid
+    # crossing needs fractions; every other command would pay for loading
+    # them on each start
     probe = ("import sys; from uptree.cli import main; "
              "codes = [main(['draw', '(()())', '--stats']), main(['widths', '(()())'])]; "
              "print([m for m in ('uptree.oracle', 'uptree.render', 'dataclasses', 'fractions') "

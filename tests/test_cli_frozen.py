@@ -4,12 +4,12 @@ Every call runs in-process through ``main()``; the digest covers its
 argv, exit code, stdout and stderr.  A refactor of any layer under the
 CLI must leave it unchanged.  Left out on purpose: exit-3 cases (their
 tracebacks hold file paths), argparse's own usage errors (their text is
-argparse's, not ours; flags that are gone, such as ``--pw-cap``, end
-there), repeated JSON keys and empty drawings (``tests/test_cli.py`` and
-``tests/test_layout.py`` pin their messages), and the size caps and
-ranges (``--pw`` past 14 nodes, ``--max-degree 0``, the generator and
-oracle caps), whose messages are the library's own and are pinned by
-``test_library_caps_exit_2``.
+argparse's, not ours; flags that are gone, such as ``--pw`` and
+``--pw-cap``, end there), repeated JSON keys and empty drawings
+(``tests/test_cli.py`` and ``tests/test_layout.py`` pin their
+messages), and the size caps and ranges (``--max-degree 0``, the
+generator and oracle caps), whose messages are the library's own and
+are pinned by ``test_library_caps_exit_2``.
 """
 
 import hashlib
@@ -112,8 +112,6 @@ def corpus():
         blob = json.dumps(tree_to_json(parse_tree(text)))
         yield ["widths", text]
         yield ["widths", blob]
-        if parse_tree(text).n <= 14:  # pathwidth_oracle's default cap
-            yield ["widths", text, "--pw"]
         yield ["draw", text, "--prune-collinear"]
         for mode in MODES:
             yield ["draw", text, "--mode", mode]
@@ -176,8 +174,8 @@ def outputs(capsys):
 
 
 # SHA-256 over json.dumps([argv, code, stdout, stderr]) of each call, in order.
-FROZEN_CLI_DIGEST = "2e58edd4b9b3e3b82f5f03a5eee0238f27c5e569ee99b09c932249a32880f0a7"
-FROZEN_CLI_CALLS = 426
+FROZEN_CLI_DIGEST = "2e63570fdda9fb0fa42b30f81ce256431e20cffc0b5fc33e22dabe565bcccf96"
+FROZEN_CLI_CALLS = 416
 
 
 def test_frozen_cli(outputs):

@@ -97,11 +97,12 @@ def test_pathwidth_oracle_examples():
     assert pathwidth_oracle(gen_path(6)) == 1
     assert pathwidth_oracle(gen_complete_binary(3)) == 1
     assert pathwidth_oracle(parse_tree("(()()())")) == 1  # star
+    assert pathwidth_oracle(parse_tree("((())()())")) == 1
     assert pathwidth_oracle(gen_complete_binary(4), max_n=15) == 2
 
 
 def test_pathwidth_oracle_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pathwidth_oracle capped at n <= 14, got 15$"):
         pathwidth_oracle(gen_path(15))
 
 
