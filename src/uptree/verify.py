@@ -113,7 +113,7 @@ def _structural(t: Tree, d: Drawing):
 
 def _departures(lines, v, kids) -> list:
     """The first segment of each edge from v to kids as a vector (dx, dy);
-    None for an edge that climbs or has no segment."""
+    None for an edge that climbs or has no segment, its line one point."""
     firsts = [lines[v, c][:2] for c in kids]
     return [None if len(f) < 2 or f[1][1] > f[0][1] else (f[1][0] - f[0][0], f[1][1] - f[0][1])
             for f in firsts]
@@ -363,7 +363,9 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
         dirs = _departures(lines, v, kids)
         if None in dirs:
             ordered = False
-            violations.append(f"order_preserving: an edge at node {v} leaves upward")
+            c = kids[dirs.index(None)]
+            how = "has no direction" if len(lines[v, c]) < 2 else "leaves upward"
+            violations.append(f"order_preserving: an edge at node {v} {how}")
             continue
         if max(map(_clockwise, dirs, dirs[1:])) >= 0:
             ordered = False
@@ -405,7 +407,8 @@ def reorder_children_by_drawing(t: Tree, d: Drawing):
         dirs = dict(zip(kids, _departures(lines, v, kids)))
         for c in kids:
             if dirs[c] is None:
-                raise InputError(f"edge ({v}, {c}) leaves its parent upward")
+                how = "has no direction" if len(lines[v, c]) < 2 else "leaves its parent upward"
+                raise InputError(f"edge ({v}, {c}) {how}")
         order[v] = sorted(kids, key=cmp_to_key(lambda a, b: _clockwise(dirs[a], dirs[b])))
         for a, b in zip(order[v], order[v][1:]):
             if _clockwise(dirs[a], dirs[b]) == 0:

@@ -24,6 +24,7 @@ from uptree.layout import (
 )
 from uptree.ranking import RankWitness, rank, rank_witness_to_json, validate_rank_witness
 from uptree.tree import (
+    InputError,
     gen_complete_binary,
     gen_path,
     gen_quintary_family,
@@ -253,6 +254,24 @@ def test_climbing_edge_not_upward(example_drawing):
                              (m.pos[c0][0], m.pos[c0][1] + 20), m.pos[c0]]
     rep = check_drawing(t, m, require=("upward",))
     assert not rep.upward and not rep.strictly_upward and not rep.ok
+
+
+@pytest.mark.parametrize("p2,named,raised", [
+    ((2, 2), "has no direction", "has no direction"),
+    ((3, 3), "leaves upward", "leaves its parent upward"),
+], ids=["zero-length", "climbing"])
+def test_edge_with_no_departure_is_named(p2, named, raised):
+    # the edge to node 2 is one point, or it climbs: either way it has no
+    # departure to order, and the message says which
+    t = parse_tree("(()())")
+    pos = {0: (2, 2), 1: (1, 1), 2: p2}
+    d = Drawing(mode="unordered", pos=pos,
+                edges={(0, 1): [pos[0], pos[1]], (0, 2): [pos[0], pos[2]]})
+    rep = check_drawing(t, d, require=("order_preserving",))
+    assert [v for v in rep.violations if v.startswith("order_preserving")] == [
+        f"order_preserving: an edge at node 0 {named}"]
+    with pytest.raises(InputError, match=rf"^edge \(0, 2\) {raised}$"):
+        reorder_children_by_drawing(t, d)
 
 
 def test_sibling_swap_breaks_order(example_drawing):
@@ -657,8 +676,8 @@ def mutated(t, d, rng, count):
 
 # one phrase of each violation message the corpus must produce
 VIOLATION_KINDS = [
-    "climbs", "runs level", "leaves upward", "out of order", "share position",
-    "in column", "crosses", "collinear and overlap", "lies inside",
+    "climbs", "runs level", "leaves upward", "has no direction", "out of order",
+    "share position", "in column", "crosses", "collinear and overlap", "lies inside",
     "touches node", "bends at node", "away from any node", "touches itself",
 ]
 
@@ -666,7 +685,7 @@ VIOLATION_KINDS = [
 # and every witness (extract_rank_witness on the ordered3 drawings of the
 # frozen layout corpus).  A verifier refactor must leave them byte-identical.
 FROZEN_REPORT_DIGESTS = {
-    "reports": "f1eb6077695cef0644745f2c50cca5033e6587ef53fbec92f55e4a22853819cf",
+    "reports": "dcdc5779561461bcd57c562ca1fbee88db69ea5f94f028c3dbc711f38d6c9070",
     "witnesses": "c9590d31757e28d57051df2984d6a4f4ec248fe45b67f4c857c2db001b018685",
 }
 
@@ -795,7 +814,7 @@ def grid_reports():
 
 # SHA-256 over the JSON of every report of grid_reports; it pins the names
 # the walk gives on grids and off them.  A walk refactor leaves it as it is.
-FROZEN_GRID_REPORT_DIGEST = "602dc6f45dfc5808369c65635af0203056273aaa4f045f7f5080f508ae471206"
+FROZEN_GRID_REPORT_DIGEST = "3413c6d271d3135017e4255c56e7f49332decd188e2a86f4878ab0559686abe5"
 
 
 def test_frozen_grid_reports():
