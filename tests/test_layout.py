@@ -30,6 +30,7 @@ from uptree.tree import (
     gen_quintary_family,
     gen_random_tree,
     parse_tree,
+    serialize_tree,
 )
 from uptree.verify import check_drawing
 from uptree.widths import rooted_pathwidth
@@ -424,6 +425,31 @@ def test_guarantees_at_1e5(name):
             assert rep.height == n
         elif mode == "ordered3":
             assert rep.height <= 2 * n - 1
+
+
+# staircase(k): the root's children are complete binary trees of heights
+# 1, 2, ..., k + 1, in order, so n = 2^(k+2) - k - 2 and rank = k + 1; it is
+# among the tallest ordered1 drawings of all trees of 5 and of 12 nodes.
+# Per k: (n, bit length of the largest ordered1 coordinate, ordered3
+# height), frozen on the layout as it stood; a change that grows either fails.
+STAIRCASE = {
+    1: (5, 5, 7), 2: (12, 7, 18), 3: (27, 11, 41), 4: (58, 14, 88),
+    5: (121, 18, 183), 6: (248, 22, 374), 7: (503, 27, 757), 8: (1014, 32, 1524),
+    9: (2037, 36, 3059), 10: (4084, 41, 6130), 11: (8179, 47, 12273),
+    12: (16370, 52, 24560),
+}
+
+
+def test_staircase_coordinates_are_pinned():
+    got = {}
+    for k in STAIRCASE:
+        t = parse_tree("(" + "".join(serialize_tree(gen_complete_binary(h))
+                                     for h in range(1, k + 2)) + ")")
+        d3 = draw_ordered(t)
+        d1 = reduce_bends(d3, t)
+        top = max(abs(c) for p in chain(d1.pos.values(), *d1.edges.values()) for c in p)
+        got[k] = (t.n, top.bit_length(), layout_stats(d3).height)
+    assert got == STAIRCASE
 
 
 # ------------------------------------------------------------ bad input
