@@ -186,8 +186,6 @@ def _cmd_gen(args) -> int:
 def _cmd_oracle(args) -> int:
     from .oracle import equivalence_suite, min_nodes_for_rank, rank_bruteforce
 
-    # options left out are absent (argparse.SUPPRESS): the library's defaults stand
-    given = {k: v for k, v in vars(args).items() if k in ("n_max", "max_n", "max_W")}
     if args.what == "rank":
         t = _load_tree(args.tree)
         brute = rank_bruteforce(t)
@@ -195,6 +193,8 @@ def _cmd_oracle(args) -> int:
         _emit({"n": t.n, "rank_bruteforce": brute, "rank_engine": engine,
                "agree": brute == engine})
         return 0 if brute == engine else 1
+    # options left out are absent (argparse.SUPPRESS): the library's defaults stand
+    given = {k: v for k, v in vars(args).items() if k in ("n_max", "max_n", "max_W")}
     if args.what == "nw":
         _emit(min_nodes_for_rank(args.W, **given)._asdict())
         return 0

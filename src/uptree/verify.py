@@ -113,7 +113,7 @@ def _structural(t: Tree, d: Drawing):
 
 def _departures(lines, v, kids) -> list:
     """The first segment of each edge from v to kids as a vector (dx, dy);
-    None for an edge that climbs or has no segment, its line one point."""
+    None for an edge that climbs or has no segment."""
     firsts = [lines[v, c][:2] for c in kids]
     return [None if len(f) < 2 or f[1][1] > f[0][1] else (f[1][0] - f[0][0], f[1][1] - f[0][1])
             for f in firsts]

@@ -431,7 +431,7 @@ def test_guarantees_at_1e5(name):
 # 1, 2, ..., k + 1, in order, so n = 2^(k+2) - k - 2 and rank = k + 1; it is
 # among the tallest ordered1 drawings of all trees of 5 and of 12 nodes.
 # Per k: (n, bit length of the largest ordered1 coordinate, ordered3
-# height), frozen on the layout as it stood; a change that grows either fails.
+# height), frozen when the test was added; a layout change that grows either fails.
 STAIRCASE = {
     1: (5, 5, 7), 2: (12, 7, 18), 3: (27, 11, 41), 4: (58, 14, 88),
     5: (121, 18, 183), 6: (248, 22, 374), 7: (503, 27, 757), 8: (1014, 32, 1524),
