@@ -23,10 +23,8 @@ the code a shell gives a filter killed by a closed pipe.
 
 Only ``oracle`` loads :mod:`uptree.oracle`.  It passes on only the
 options given, so the library's defaults and caps hold, and past a cap
-it exits 2 with the library's message.  Unrooted pathwidth is
-exhaustive, so it is a library call only: ``oracle.pathwidth_oracle``.
-``draw --prune-collinear`` applies ``layout.prune_collinear`` to the
-drawing of any mode.
+it exits 2 with the library's message.  ``draw --prune-collinear``
+applies ``layout.prune_collinear`` to the drawing of any mode.
 """
 
 import argparse
