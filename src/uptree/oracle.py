@@ -9,6 +9,8 @@ implementations elsewhere have something independent to disagree with:
   characterization, tried over every path.
 * ``pathwidth_oracle`` -- unrooted pathwidth by the remove-a-path
   recursion, tried over every path.
+* ``validate_corner_witness`` -- the chain and gap conditions (C1, C2)
+  of one corner witness, checked against the child ranks.
 * ``min_nodes_for_rank`` -- exhaustive search for the smallest tree of a
   given rank.
 * ``equivalence_suite`` -- checks that five different phrasings of
@@ -19,18 +21,21 @@ child-rank tuple, pw on a piece's rooted shape.  The last two walk a
 table per size of root child-rank tuples, counted and named, not trees.
 
 The brute-force paths never call the linear-time engines in
-:mod:`uptree.ranking` or :mod:`uptree.widths`; the only import of the rank
-engine lives inside ``equivalence_suite``, where the scans are the thing
-being tested.  Memo tables live for one call of a public function, so a
-long-lived process keeps none of them.
+:mod:`uptree.ranking` or :mod:`uptree.widths`; the only run-time import of
+the rank engine lives inside ``equivalence_suite``, where the scans are
+the thing being tested.  Memo tables live for one call of a public
+function, so a long-lived process keeps none of them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .tree import InputError, Tree, parse_tree
+
+if TYPE_CHECKING:
+    from .ranking import CornerWitness
 
 __all__ = [
     "NWRecord",
@@ -39,6 +44,7 @@ __all__ = [
     "rpw_path_oracle",
     "pathwidth_oracle",
     "rank_witness_exists_brute",
+    "validate_corner_witness",
     "corner_witness_exists_brute",
     "min_nodes_for_rank",
     "equivalence_suite",
@@ -144,13 +150,65 @@ def rank_witness_exists_brute(
     return False
 
 
+def validate_corner_witness(child_ranks: Sequence[int], cw: CornerWitness) -> list:
+    """Check monotonicity plus C1/C2 (with sentinels); list of violations."""
+    out = []
+    d = len(child_ranks)
+    if cw.side not in ("left", "right"):
+        out.append(f"malformed: side {cw.side!r}")
+        return out
+    if cw.W < 1:
+        out.append(f"malformed: W={cw.W} < 1")
+        return out
+    if not (1 <= cw.Wprime <= cw.W + 1):
+        out.append(f"malformed: Wprime={cw.Wprime} not in [1, {cw.W + 1}]")
+        return out
+    ws = list(range(cw.Wprime, cw.W + 1))
+    if set(cw.sigma) != set(ws):
+        out.append(f"malformed: sigma keys {sorted(cw.sigma)} != {ws}")
+        return out
+    if any(not (1 <= cw.sigma[w] <= d) for w in ws):
+        out.append("malformed: sigma value out of range")
+        return out
+    if cw.side == "left":
+        # sigma(W') < ... < sigma(W); sentinels 0 on the left, d+1 on the right
+        seq = [0] + [cw.sigma[w] for w in ws] + [d + 1]
+    else:
+        # sigma(W) < ... < sigma(W'), i.e. sigma grows as w falls
+        seq = [0] + [cw.sigma[w] for w in reversed(ws)] + [d + 1]
+    for a, b in zip(seq, seq[1:]):
+        if a >= b:
+            out.append(f"malformed: sigma not strictly monotone ({a} !< {b})")
+            return out
+    for w in ws:
+        got = child_ranks[cw.sigma[w] - 1]
+        if got != w:
+            out.append(f"C1: child c_{cw.sigma[w]} has rank {got}, needs {w}")
+    # C2 per gap k: children strictly between seq[k] and seq[k+1] need
+    # rank <= gap_bound[k].  Walking seq from the vertical-child side
+    # outward, the gap just inside sigma(w) allows w-2, and the outermost
+    # gap (beyond sigma(W)) allows W-1.
+    if cw.side == "left":
+        gap_bound = [w - 2 for w in ws] + [cw.W - 1]
+    else:
+        gap_bound = [cw.W - 1] + [w - 2 for w in reversed(ws)]
+    for k in range(len(seq) - 1):
+        for i in range(seq[k] + 1, seq[k + 1]):
+            got = child_ranks[i - 1]
+            if got > gap_bound[k]:
+                out.append(
+                    f"C2: child c_{i} has rank {got} > {gap_bound[k]} in gap {k}"
+                )
+    return out
+
+
 def corner_witness_exists_brute(child_ranks: Sequence[int], W: int, side: str) -> bool:
     """Does a corner witness exist?  Direct enumeration of every chain.
 
     Tries every start value W' and every strictly increasing index tuple,
-    checking the same chain/gap conditions as
-    ``ranking.validate_corner_witness``.  Left chains carry ascending values
-    W'..W, right chains the same values descending.
+    checking the same chain/gap conditions as ``validate_corner_witness``.
+    Left chains carry ascending values W'..W, right chains the same values
+    descending.
     """
     d = len(child_ranks)
     if d < 1 or W < 1:
@@ -401,7 +459,7 @@ def equivalence_suite(*, max_n: int = 8, max_W: int = 4) -> dict:
     if not 1 <= max_W <= _ENUM_CAP:
         raise InputError(f"max_W must be in 1..{_ENUM_CAP}")
     # the one deliberate contact with the engine: the scans are the subject
-    from .ranking import CornerWitness, corner_scan
+    from .ranking import corner_scan
 
     trees = 0
     n_disagree = 0
@@ -420,8 +478,8 @@ def equivalence_suite(*, max_n: int = 8, max_W: int = 4) -> dict:
                         "witness": rank_witness_exists_brute(ranks, W),
                         "corner_X": rank_witness_exists_brute(ranks, W, restrict="corner_X"),
                         "corner_v": rank_witness_exists_brute(ranks, W, restrict="corner_v"),
-                        "scan": isinstance(corner_scan(ranks, W, "left"), CornerWitness)
-                        or isinstance(corner_scan(ranks, W, "right"), CornerWitness),
+                        "scan": corner_scan(ranks, W, "left") is not None
+                        or corner_scan(ranks, W, "right") is not None,
                         "corner_witness": corner_witness_exists_brute(ranks, W, "left")
                         or corner_witness_exists_brute(ranks, W, "right"),
                     }

@@ -4,8 +4,9 @@ The rank equals the optimum width of an order-preserving strictly-upward
 poly-line drawing.  It is computed bottom-up in linear time: a node whose
 children have maximum rank W either admits a corner-W-witness and gets
 rank W, or gets rank W + 1 with the vacuous witness.  ``corner_scan``
-looks for the witness in one pass over the child ranks; a right witness
-is a left one on the mirrored child order.
+looks for the witness in one pass over the child ranks and returns it,
+or None when there is none; a right witness is a left one on the
+mirrored child order.
 
 Two witness kinds appear throughout:
 
@@ -16,28 +17,26 @@ Two witness kinds appear throughout:
   monotone index sequence sigma(W'), ..., sigma(W) picking children of
   exactly those ranks, everything between them being low-rank (C1, C2).
 
-``validate_rank_witness`` and ``validate_corner_witness`` check either
-kind against the child ranks; the exhaustive searches that tests compare
-against live in :mod:`uptree.oracle`.
+``validate_rank_witness`` checks a rank witness against the child ranks.
+The corner-witness check ``validate_corner_witness`` and the exhaustive
+searches that tests compare against live in :mod:`uptree.oracle`.
 
 Child indices are 1-based everywhere, matching the c_1..c_d convention.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .tree import Tree
 
 __all__ = [
     "CornerWitness",
-    "ScanFailure",
     "RankWitness",
     "RankAnnotation",
     "corner_scan",
     "rank",
     "validate_rank_witness",
-    "validate_corner_witness",
     "rank_witness_to_json",
 ]
 
@@ -54,14 +53,6 @@ class CornerWitness(NamedTuple):
     W: int
     Wprime: int
     sigma: dict
-
-
-class ScanFailure(NamedTuple):
-    """Where and why a corner-witness scan gave up."""
-
-    index: int  # 1-based child index at which the scan failed
-    w: int
-    reason: str
 
 
 class RankWitness(NamedTuple):
@@ -89,8 +80,8 @@ class RankAnnotation(NamedTuple):
         return self.rank[0]
 
 
-def corner_scan(child_ranks: Sequence[int], W: int, side: str) -> Union[CornerWitness, ScanFailure]:
-    """A left or right (`side`) corner-W-witness, or a ScanFailure value.
+def corner_scan(child_ranks: Sequence[int], W: int, side: str) -> Optional[CornerWitness]:
+    """A left or right (`side`) corner-W-witness, or None if there is none.
 
     The scan walks away from the witness's corner: c_d down to c_1 for a
     left witness, c_1 up to c_d for a right one.  A child of rank w - 1
@@ -112,9 +103,7 @@ def corner_scan(child_ranks: Sequence[int], W: int, side: str) -> Union[CornerWi
         if r <= w - 2:
             continue
         if r >= w:
-            if not sigma:
-                return ScanFailure(i, W, f"child {i} has rank {r} > W")
-            return ScanFailure(i, w, f"child {i} has rank {r} >= {w}, no slot left")
+            return None
         w -= 1
         sigma[w] = i
     return CornerWitness(side, W, w, sigma)
@@ -153,9 +142,9 @@ def rank(t: Tree) -> RankAnnotation:
         if cw is None:
             W = max(ranks)
             cw = corner_scan(ranks, W, "left")
-            if isinstance(cw, ScanFailure):
+            if cw is None:
                 cw = corner_scan(ranks, W, "right")
-            if isinstance(cw, ScanFailure):
+            if cw is None:
                 # rank W+1: with all ranks <= W the scan returns the vacuous witness
                 cw = corner_scan(ranks, W + 1, "left")
             by_ranks[ranks] = cw
@@ -223,58 +212,6 @@ def validate_rank_witness(child_ranks: Sequence[int], w: RankWitness) -> list:
         seen.add(pi)
         if child_ranks[i - 1] > pi:
             out.append(f"R3: c_{i} has rank {child_ranks[i - 1]} > bound {pi}")
-    return out
-
-
-def validate_corner_witness(child_ranks: Sequence[int], cw: CornerWitness) -> list:
-    """Check monotonicity plus C1/C2 (with sentinels); list of violations."""
-    out = []
-    d = len(child_ranks)
-    if cw.side not in ("left", "right"):
-        out.append(f"malformed: side {cw.side!r}")
-        return out
-    if cw.W < 1:
-        out.append(f"malformed: W={cw.W} < 1")
-        return out
-    if not (1 <= cw.Wprime <= cw.W + 1):
-        out.append(f"malformed: Wprime={cw.Wprime} not in [1, {cw.W + 1}]")
-        return out
-    ws = list(range(cw.Wprime, cw.W + 1))
-    if set(cw.sigma) != set(ws):
-        out.append(f"malformed: sigma keys {sorted(cw.sigma)} != {ws}")
-        return out
-    if any(not (1 <= cw.sigma[w] <= d) for w in ws):
-        out.append("malformed: sigma value out of range")
-        return out
-    if cw.side == "left":
-        # sigma(W') < ... < sigma(W); sentinels 0 on the left, d+1 on the right
-        seq = [0] + [cw.sigma[w] for w in ws] + [d + 1]
-    else:
-        # sigma(W) < ... < sigma(W'), i.e. sigma grows as w falls
-        seq = [0] + [cw.sigma[w] for w in reversed(ws)] + [d + 1]
-    for a, b in zip(seq, seq[1:]):
-        if a >= b:
-            out.append(f"malformed: sigma not strictly monotone ({a} !< {b})")
-            return out
-    for w in ws:
-        got = child_ranks[cw.sigma[w] - 1]
-        if got != w:
-            out.append(f"C1: child c_{cw.sigma[w]} has rank {got}, needs {w}")
-    # C2 per gap k: children strictly between seq[k] and seq[k+1] need
-    # rank <= gap_bound[k].  Walking seq from the vertical-child side
-    # outward, the gap just inside sigma(w) allows w-2, and the outermost
-    # gap (beyond sigma(W)) allows W-1.
-    if cw.side == "left":
-        gap_bound = [w - 2 for w in ws] + [cw.W - 1]
-    else:
-        gap_bound = [cw.W - 1] + [w - 2 for w in reversed(ws)]
-    for k in range(len(seq) - 1):
-        for i in range(seq[k] + 1, seq[k + 1]):
-            got = child_ranks[i - 1]
-            if got > gap_bound[k]:
-                out.append(
-                    f"C2: child c_{i} has rank {got} > {gap_bound[k]} in gap {k}"
-                )
     return out
 
 

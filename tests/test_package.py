@@ -43,11 +43,11 @@ PUBLIC = {
     "tree_from_json", "gen_path", "gen_complete_binary", "gen_quintary_family",
     "gen_hpd_family", "gen_random_tree", "rooted_pathwidth", "heavy_path_depth",
     "param_report", "ParamReport", "RpwAnnotation", "rank", "RankAnnotation", "RankWitness",
-    "CornerWitness", "ScanFailure", "corner_scan", "validate_rank_witness",
-    "validate_corner_witness", "rank_witness_to_json", "Drawing", "LayoutStats",
-    "draw_unordered", "draw_ordered", "reduce_bends", "prune_collinear", "layout_stats",
-    "drawing_to_json", "drawing_from_json", "check_drawing", "VerifyReport",
-    "DrawingMismatch", "reorder_children_by_drawing", "extract_rank_witness", "__version__",
+    "CornerWitness", "corner_scan", "validate_rank_witness", "rank_witness_to_json",
+    "Drawing", "LayoutStats", "draw_unordered", "draw_ordered", "reduce_bends",
+    "prune_collinear", "layout_stats", "drawing_to_json", "drawing_from_json", "check_drawing",
+    "VerifyReport", "DrawingMismatch", "reorder_children_by_drawing", "extract_rank_witness",
+    "__version__",
 }
 
 
@@ -90,7 +90,6 @@ RECORD_FIELDS = {
     "verify.VerifyReport": ("planar", "upward", "strictly_upward", "order_preserving",
                             "straight_line", "width", "height", "max_bends", "violations", "ok"),
     "ranking.CornerWitness": ("side", "W", "Wprime", "sigma"),
-    "ranking.ScanFailure": ("index", "w", "reason"),
     "ranking.RankWitness": ("W", "X", "v", "big", "rank_bounds"),
     "ranking.RankAnnotation": ("rank", "corner"),
     "widths.RpwAnnotation": ("rpw", "heavy_child"),

@@ -9,7 +9,8 @@ the root, between branching nodes, and above leaves.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uptree.ranking import rank, validate_corner_witness
+from uptree.oracle import validate_corner_witness
+from uptree.ranking import rank
 from uptree.tree import gen_random_tree, parse_tree
 from uptree.widths import heavy_path_depth, rooted_pathwidth
 
