@@ -375,7 +375,8 @@ def check_drawing(t: Tree, d: Drawing, require=("planar", "upward")) -> VerifyRe
     _planarity(pos, lines, violations)
     planar = len(violations) == before
 
-    lo, hi, _, _, rows = _extent(pos, lines.values())
+    # each node of a tree with n >= 2 ends some line, as _structural checked
+    lo, hi, _, _, rows = _extent(pos if t.n == 1 else {}, lines.values())
     flags = {
         "planar": planar,
         "upward": upward,
