@@ -6,25 +6,23 @@ Subcommands:
 * ``draw``    -- compute a drawing, print it as JSON
 * ``verify``  -- check a drawing JSON against a tree
 * ``gen``     -- emit trees from the built-in families
-* ``oracle``  -- slow ground-truth cross-checks (rank / nw / equivalence)
 * ``render``  -- turn a drawing JSON into ascii art or svg
 
 Trees are accepted as paren text ("(()())"), as tree JSON, as a path to
 a file holding either, or as "-" for stdin.  Drawings are JSON only
 (inline, file, or stdin).  All JSON output uses sorted keys.
 
-Exit codes: 0 success; 1 a checked property failed (verify said no, or
-an oracle run disagreed); 2 bad usage (argparse's errors) or bad input,
-which is exactly an ``uptree.InputError``: the library raises it where
-it checks its input, and so does this module for files and JSON text; 3
-an internal error, reported as "uptree: internal error: ..." after its
-traceback; 141 the reader closed stdout early (``uptree ... | head``),
-the code a shell gives a filter killed by a closed pipe.
+Exit codes: 0 success; 1 ``verify`` found a required property false; 2
+bad usage (argparse's errors) or bad input, which is exactly an
+``uptree.InputError``: the library raises it where it checks its input,
+and so does this module for files and JSON text; 3 an internal error,
+reported as "uptree: internal error: ..." after its traceback; 141 the
+reader closed stdout early (``uptree ... | head``), the code a shell
+gives a filter killed by a closed pipe.
 
-Only ``oracle`` loads :mod:`uptree.oracle`.  It passes on only the
-options given, so the library's defaults and caps hold, and past a cap
-it exits 2 with the library's message.  ``draw --prune-collinear``
-applies ``layout.prune_collinear`` to the drawing of any mode.
+The CLI runs no exhaustive search: the brute-force cross-checks are
+library calls, at the library's own defaults and caps.  ``draw
+--prune-collinear`` applies ``layout.prune_collinear`` in every mode.
 """
 
 import argparse
@@ -66,12 +64,14 @@ __all__ = ["main"]
 def _read_source(arg: str) -> str:
     """Resolve a tree/drawing argument to raw text.
 
-    "-" reads stdin; text starting with "(" or "{" is taken inline;
-    anything else must be a readable file path.  Text that is not UTF-8
-    is bad input.
+    "-" reads stdin; text starting with "(" or "{", or holding "(" and
+    naming no file (a labelled tree), is inline; anything else must be a
+    readable file path.  Text that is not UTF-8 is bad input.
     """
     stripped = arg.strip()
     if stripped.startswith("(") or stripped.startswith("{"):
+        return arg
+    if "(" in arg and not os.path.isfile(arg):  # "a(b()c())"; a file of that name wins
         return arg
     try:
         if arg == "-":
@@ -181,27 +181,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    from .oracle import equivalence_suite, min_nodes_for_rank, rank_bruteforce
-
-    if args.what == "rank":
-        t = _load_tree(args.tree)
-        brute = rank_bruteforce(t)
-        engine = rank(t).root_rank()
-        _emit({"n": t.n, "rank_bruteforce": brute, "rank_engine": engine,
-               "agree": brute == engine})
-        return 0 if brute == engine else 1
-    # options left out are absent (argparse.SUPPRESS): the library's defaults stand
-    given = {k: v for k, v in vars(args).items() if k in ("n_max", "max_n", "max_W")}
-    if args.what == "nw":
-        _emit(min_nodes_for_rank(args.W, **given)._asdict())
-        return 0
-    # equivalence
-    report = equivalence_suite(**given)
-    _emit(report)
-    return 0 if report["agree"] else 1
-
-
 def _cmd_render(args) -> int:
     from .render import render_ascii, render_svg  # only `render` draws pictures
 
@@ -259,27 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="degree cap for random")
     p.add_argument("--json", action="store_true", help="emit tree JSON, not parens")
     p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("oracle", help="slow exhaustive cross-checks")
-    osub = p.add_subparsers(dest="what", required=True)
-
-    q = osub.add_parser("rank", help="brute-force the rank, compare with the engine")
-    q.add_argument("tree")
-    q.set_defaults(fn=_cmd_oracle)
-
-    q = osub.add_parser("nw", help="minimal node count reaching a given rank")
-    q.add_argument("W", type=int, help="target rank")
-    q.add_argument("--n-max", type=int, default=argparse.SUPPRESS,
-                   help="search trees up to this many nodes")
-    q.set_defaults(fn=_cmd_oracle)
-
-    q = osub.add_parser("equivalence",
-                        help="five witness-existence phrasings on all small trees")
-    q.add_argument("--max-n", type=int, default=argparse.SUPPRESS,
-                   help="largest tree size to check")
-    q.add_argument("--max-w", type=int, dest="max_W", default=argparse.SUPPRESS,
-                   help="largest width to test")
-    q.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("render", help="drawing JSON -> ascii or svg")
     p.add_argument("drawing")

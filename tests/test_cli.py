@@ -14,7 +14,6 @@ import uptree.verify as verify
 from uptree.cli import main
 from uptree.layout import (Drawing, draw_ordered, drawing_from_json, drawing_to_json,
                            reduce_bends)
-from uptree.oracle import equivalence_suite, min_nodes_for_rank
 from uptree.ranking import rank_witness_to_json
 from uptree.tree import gen_path, parse_tree, serialize_tree
 
@@ -77,6 +76,24 @@ def test_widths_from_file(capsys, tmp_path):
     p.write_text(EXAMPLE + "\n")
     got = run_json(capsys, "widths", str(p))
     assert got["n"] == 6
+
+
+def test_widths_takes_a_labelled_tree_inline(capsys, tmp_path):
+    # text holding "(" that names no file is inline, as text starting with "(" is
+    p = tmp_path / "labelled.txt"
+    p.write_text("a(b()c())")
+    from_file = run(capsys, "widths", str(p))
+    assert json.loads(from_file[1]) == {"n": 3, "rpw": 2, "rank": 2, "hpd": 2}
+    assert run(capsys, "widths", "a(b()c())") == from_file
+    # too long to name a file (a path component past 255 bytes), still a tree
+    assert run_json(capsys, "widths", "a(" * 200 + ")" * 200)["n"] == 200
+    assert run(capsys, "widths", "a(b") == (2, "", "uptree: expected '(' after label (offset 3)\n")
+
+
+def test_widths_file_wins_over_inline_text(capsys, tmp_path):
+    p = tmp_path / "a(b"
+    p.write_text(EXAMPLE)
+    assert run_json(capsys, "widths", str(p))["n"] == 6
 
 
 def test_widths_tree_json_input(capsys):
@@ -337,50 +354,6 @@ def test_gen_piped_into_widths(capsys):
     assert got["rpw"] == 2 and got["hpd"] == 4
 
 
-# ---------------------------------------------------------------- oracle
-
-
-def test_oracle_rank_agrees(capsys):
-    got = run_json(capsys, "oracle", "rank", "((())()())")
-    assert got == {"agree": True, "n": 5, "rank_bruteforce": 2,
-                   "rank_engine": 2}
-
-
-def test_oracle_rank_respects_cap(capsys):
-    code, out, err = run(capsys, "oracle", "rank", STAR21)
-    assert (code, out) == (2, "")
-    assert "oracle cap is 11" in err
-
-
-def test_oracle_nw(capsys):
-    got = run_json(capsys, "oracle", "nw", "2", "--n-max", "4")
-    assert got == {"W": 2, "min_nodes_found": 3, "search_bound": 4}
-
-
-def test_oracle_nw_not_found_is_null(capsys):
-    got = run_json(capsys, "oracle", "nw", "3", "--n-max", "5")
-    assert got["min_nodes_found"] is None
-
-
-def test_oracle_nw_rejects_w5(capsys):
-    code, _, err = run(capsys, "oracle", "nw", "5")
-    assert code == 2
-
-
-def test_oracle_equivalence(capsys):
-    got = run_json(capsys, "oracle", "equivalence", "--max-n", "4",
-                   "--max-w", "3")
-    assert got["agree"] is True
-    assert got["disagreements"] == []
-    assert got["trees_checked"] == 8  # ordered trees with 2..4 nodes
-
-
-def test_oracle_runs_at_the_library_defaults(capsys):
-    # the CLI declares no default of its own: a flag left out is not passed
-    assert run_json(capsys, "oracle", "equivalence") == equivalence_suite()
-    assert run_json(capsys, "oracle", "nw", "3") == min_nodes_for_rank(3)._asdict()
-
-
 # ---------------------------------------------------------------- render
 
 
@@ -433,13 +406,7 @@ def test_render_rejects_tree_text(capsys):
     (["gen", "path", str(2**20 + 1)], "k must be <= 2**20"),
     (["gen", "quintary", "12"], "i must be in 1..8"),
     (["gen", "random", str(10**9)], "n must be <= 2**20"),
-    (["oracle", "nw", "2", "--n-max", "99"], "n_max must be in 1..15"),
-    (["oracle", "equivalence", "--max-n", "99"], "max_n=99 exceeds enumeration cap 15"),
-    (["oracle", "equivalence", "--max-n", "3", "--max-w", "0"], "max_W must be in 1..15"),
-    (["oracle", "equivalence", "--max-n", "3", "--max-w", "16"], "max_W must be in 1..15"),
-], ids=["max-degree-0", "binary-64", "path-2**20+1", "quintary-12",
-        "random-10**9", "nw-n-max-99", "equivalence-max-n-99", "equivalence-max-w-0",
-        "equivalence-max-w-16"])
+], ids=["max-degree-0", "binary-64", "path-2**20+1", "quintary-12", "random-10**9"])
 def test_library_caps_exit_2(capsys, argv, message):
     # the library's own message, and no second check in front of it
     assert run(capsys, *argv) == (2, "", f"uptree: {message}\n")
@@ -447,9 +414,8 @@ def test_library_caps_exit_2(capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["widths", "(" + "()" * 10 + ")", "--pw", "--pw-cap", "5"],
-    ["oracle", "rank", "(()())", "--max-n", "99"],
     ["widths", "(()())", "--pw"],
-], ids=["pw-cap", "oracle-rank-max-n", "pw"])
+], ids=["pw-cap", "pw"])
 def test_cap_flags_are_unrecognized(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -552,38 +518,43 @@ def test_console_script_entry_point():
 
 
 def test_usage_error_exits_2():
-    out = run_child([sys.executable, "-m", "uptree.cli", "frobnicate"])
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert "invalid choice" in out.stderr and "frobnicate" in out.stderr
+    # `oracle` is no subcommand: the exhaustive searches are library calls
+    for argv, word in ((["frobnicate"], "frobnicate"), (["oracle", "rank", "(()())"], "oracle")):
+        out = run_child([sys.executable, "-m", "uptree.cli", *argv])
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "invalid choice" in out.stderr and word in out.stderr
 
 
-def test_draw_leaves_the_oracles_unloaded():
-    # only `oracle` needs uptree.oracle (`widths` runs linear passes
-    # alone), only `render` needs uptree.render, and only an off-grid
-    # crossing needs fractions; every other command would pay for loading
-    # them on each start
-    probe = ("import sys; from uptree.cli import main; "
-             "codes = [main(['draw', '(()())', '--stats']), main(['widths', '(()())'])]; "
-             "print([m for m in ('uptree.oracle', 'uptree.render', 'dataclasses', 'fractions') "
-             "if m in sys.modules]); sys.exit(max(codes))")
-    out = run_child([sys.executable, "-c", probe])
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.rstrip().endswith("\n[]")
-
-
+# a straight drawing of (()()) with every point on the grid
+ON_GRID = json.dumps({"mode": "unordered", "positions": {"0": [1, 3], "1": [1, 1], "2": [3, 2]},
+                      "edges": [{"from": 0, "to": 1, "points": [[1, 3], [1, 1]]},
+                                {"from": 0, "to": 2, "points": [[1, 3], [3, 2]]}]})
 # the edge to node 2 crosses the wall x = 2 at y = 5/2, between grid points
 OFF_GRID = json.dumps({"mode": "unordered", "positions": {"0": [1, 4], "1": [2, 3], "2": [3, 1]},
                        "edges": [{"from": 0, "to": 1, "points": [[1, 4], [2, 3]]},
                                  {"from": 0, "to": 2, "points": [[1, 4], [3, 1]]}]})
 
 
-@pytest.mark.parametrize("drawing,loaded", [
-    (json.dumps({"mode": "unordered", "positions": {"0": [1, 3], "1": [1, 1], "2": [3, 2]},
-                 "edges": [{"from": 0, "to": 1, "points": [[1, 3], [1, 1]]},
-                           {"from": 0, "to": 2, "points": [[1, 3], [3, 2]]}]}), False),
-    (OFF_GRID, True),
-], ids=["on-grid", "off-grid"])
+def test_draw_leaves_the_oracles_unloaded():
+    # no command needs uptree.oracle (the CLI runs no exhaustive search),
+    # only `render` needs uptree.render, and only an off-grid crossing
+    # needs fractions; every other command would pay for loading them on
+    # each start
+    probe = ("import sys; from uptree.cli import main; "
+             "codes = [main(['draw', '(()())', '--stats']), main(['widths', '(()())'])]; "
+             "early = [m for m in ('uptree.render', 'dataclasses', 'fractions') "
+             "if m in sys.modules]; "
+             f"codes += [main(['verify', '(()())', {ON_GRID!r}]), main(['gen', 'random', '9']), "
+             f"main(['render', {ON_GRID!r}])]; "
+             "print(early, 'uptree.oracle' in sys.modules); sys.exit(max(codes))")
+    out = run_child([sys.executable, "-c", probe])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.rstrip().endswith("\n[] False")
+
+
+@pytest.mark.parametrize("drawing,loaded", [(ON_GRID, False), (OFF_GRID, True)],
+                         ids=["on-grid", "off-grid"])
 def test_verify_loads_fractions_only_off_the_grid(drawing, loaded):
     probe = ("import sys; from uptree.cli import main; "
              f"code = main(['verify', '(()())', {drawing!r}, '--witness']); "

@@ -4,12 +4,12 @@ Every call runs in-process through ``main()``; the digest covers its
 argv, exit code, stdout and stderr.  A refactor of any layer under the
 CLI must leave it unchanged.  Left out on purpose: exit-3 cases (their
 tracebacks hold file paths), argparse's own usage errors (their text is
-argparse's, not ours; flags that are gone, such as ``--pw`` and
-``--pw-cap``, end there), repeated JSON keys and empty drawings
-(``tests/test_cli.py`` and ``tests/test_layout.py`` pin their
+argparse's, not ours; flags and subcommands that are gone, such as
+``--pw`` and ``oracle``, end there), repeated JSON keys and empty
+drawings (``tests/test_cli.py`` and ``tests/test_layout.py`` pin their
 messages), and the size caps and ranges (``--max-degree 0``, the
-generator and oracle caps), whose messages are the library's own and
-are pinned by ``test_library_caps_exit_2``.
+generator caps), whose messages are the library's own and are pinned
+by ``test_library_caps_exit_2``.
 """
 
 import hashlib
@@ -99,10 +99,6 @@ BAD_INPUT = [
     ["gen", "binary", "-1"],
     ["gen", "quintary", "0"],
     ["gen", "hpd", "0"],
-    ["oracle", "rank", "(" + "()" * 12 + ")"],
-    ["oracle", "nw", "5"],
-    ["oracle", "nw", "0"],
-    ["oracle", "equivalence", "--max-n", "0"],
 ]
 
 
@@ -116,7 +112,6 @@ def corpus():
         for mode in MODES:
             yield ["draw", text, "--mode", mode]
             yield ["draw", blob, "--mode", mode, "--stats"]
-        yield ["oracle", "rank", text]
     yield from BAD_INPUT
     for family, ks in (("path", (1, 4)), ("binary", (0, 2)), ("quintary", (1, 3)),
                        ("hpd", (1, 3))):
@@ -127,9 +122,6 @@ def corpus():
         yield ["gen", "random", "9", "--seed", str(seed)]
         yield ["gen", "random", "9", "--seed", str(seed), "--json"]
     yield ["gen", "random", "12", "--seed", "2", "--max-degree", "3"]
-    yield ["oracle", "nw", "3"]
-    yield ["oracle", "nw", "4", "--n-max", "7"]
-    yield ["oracle", "equivalence", "--max-n", "6"]
 
 
 def drawing_calls(drawn):
@@ -174,8 +166,8 @@ def outputs(capsys):
 
 
 # SHA-256 over json.dumps([argv, code, stdout, stderr]) of each call, in order.
-FROZEN_CLI_DIGEST = "2e63570fdda9fb0fa42b30f81ce256431e20cffc0b5fc33e22dabe565bcccf96"
-FROZEN_CLI_CALLS = 416
+FROZEN_CLI_DIGEST = "7c2ee6f00947dfbd6ee0d97b97e7d6e52fbba072bbf5003b49715e003d689dc3"
+FROZEN_CLI_CALLS = 398
 
 
 def test_frozen_cli(outputs):

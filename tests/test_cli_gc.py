@@ -44,8 +44,6 @@ def _inputs(tmp_path, capsys, n):
             "bad": str(text) + ")", "out": str(tmp_path / f"out{n}.svg"), "n": str(n)}
 
 
-# the oracles are exhaustive and capped at a few nodes: their input does
-# not grow with n, and they are here to show they leave a bounded count too
 COMMANDS = {
     "widths": (["widths", "{text}"], 0),
     "widths-json": (["widths", "{json}"], 0),
@@ -58,8 +56,6 @@ COMMANDS = {
     "gen-json": (["gen", "random", "{n}", "--json"], 0),
     "render": (["render", "{drawing}", "--format", "svg", "--out", "{out}"], 0),
     "input-error": (["widths", "{bad}"], 2),
-    "oracle-rank": (["oracle", "rank", "(()(()())(()))"], 0),
-    "oracle-nw": (["oracle", "nw", "2", "--n-max", "6"], 0),
 }
 
 
