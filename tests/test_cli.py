@@ -18,7 +18,6 @@ from uptree.ranking import rank_witness_to_json
 from uptree.tree import gen_path, parse_tree, serialize_tree
 
 EXAMPLE = "(()()(()()))"
-STAR21 = "(" + "()" * 20 + ")"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory that holds the imported ``uptree`` package. Child processes
 # get it first on PYTHONPATH, so they run the code under test and not some
