@@ -72,9 +72,14 @@ def test_rank_bruteforce_base_cases():
 
 
 def test_rank_bruteforce_cap():
-    with pytest.raises(ValueError, match=r"^tree has 12 nodes, oracle cap is 11$"):
+    with pytest.raises(ValueError):
         rank_bruteforce(gen_path(12))
     assert rank_bruteforce(gen_path(12), max_n=12) == 1
+
+
+def test_rank_bruteforce_cap_message():
+    with pytest.raises(ValueError, match=r"^tree has 12 nodes, oracle cap is 11$"):
+        rank_bruteforce(gen_path(12))
 
 
 def test_rank_bruteforce_max_n_raises_ceiling():
@@ -206,7 +211,6 @@ def test_corner_brute_vacuous_case():
 def test_min_nodes_for_rank_small():
     assert min_nodes_for_rank(1, 3) == NWRecord(W=1, min_nodes_found=1, search_bound=3)
     assert min_nodes_for_rank(2, 5).min_nodes_found == 3
-    assert min_nodes_for_rank(2, n_max=4) == NWRecord(W=2, min_nodes_found=3, search_bound=4)
     rec = min_nodes_for_rank(3, 12)
     assert rec.min_nodes_found == 7
     assert rec.min_nodes_found >= 2**2
@@ -217,13 +221,20 @@ def test_min_nodes_not_found_is_reported():
     rec = min_nodes_for_rank(4, 7)
     assert rec.min_nodes_found is None
     assert rec.search_bound == 7
+
+
+def test_min_nodes_for_rank_2_within_4_nodes():
+    assert min_nodes_for_rank(2, n_max=4) == NWRecord(W=2, min_nodes_found=3, search_bound=4)
+
+
+def test_min_nodes_for_rank_3_not_found_within_5_nodes():
     assert min_nodes_for_rank(3, n_max=5).min_nodes_found is None
 
 
 def test_min_nodes_rejects_bad_input():
     with pytest.raises(ValueError):
         min_nodes_for_rank(5, 10)
-    with pytest.raises(ValueError, match=r"^n_max must be in 1\.\.15$"):
+    with pytest.raises(ValueError):
         min_nodes_for_rank(2, 16)
 
 
@@ -237,6 +248,9 @@ def test_equivalence_suite_small():
     assert rep["disagreement_count"] == 0
     assert rep["trees_checked"] == sum(CATALAN[1:7])
     assert rep["pairs_checked"] == rep["trees_checked"] * 4
+
+
+def test_equivalence_suite_up_to_4_nodes():
     rep = equivalence_suite(max_n=4, max_W=3)
     assert rep["agree"] and rep["disagreements"] == []
     assert rep["trees_checked"] == 8  # ordered trees with 2..4 nodes
@@ -288,11 +302,20 @@ def test_equivalence_suite_echoes_config():
 def test_oracle_config_validates():
     with pytest.raises(ValueError):
         equivalence_suite(max_n=0)
-    with pytest.raises(ValueError, match=r"^max_n=99 exceeds enumeration cap 15$"):
-        equivalence_suite(max_n=99)
-    for max_W in (0, 16):
-        with pytest.raises(ValueError, match=r"^max_W must be in 1\.\.15$"):
-            equivalence_suite(max_n=3, max_W=max_W)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: min_nodes_for_rank(2, n_max=99), "n_max must be in 1..15"),
+    (lambda: equivalence_suite(max_n=99), "max_n=99 exceeds enumeration cap 15"),
+    (lambda: equivalence_suite(max_W=0), "max_W must be in 1..15"),
+    (lambda: equivalence_suite(max_W=16), "max_W must be in 1..15"),
+], ids=["nw-n-max-99", "equivalence-max-n-99", "equivalence-max-w-0",
+        "equivalence-max-w-16"])
+def test_library_caps_raise(call, message):
+    # the exact message, checked before any search starts
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------- pathwidth
